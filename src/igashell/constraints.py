@@ -35,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import EdgeQuadrature, gauss_01
+from .elements import (EdgeQuadrature, _gauss_sum, _kron_rows,
+                       _metric_kron, _normal_kron, gauss_01)
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,13 @@ class RotationConstraint:
         self.edof_a = self.eq_a.edof
         self.edof_b = self.eq_b.edof if self.two_sided else None
         self._min_len = 1e-12 * scale
+        # multiplier shape functions at the edge Gauss points and their
+        # element connectivity, per interpolation scheme
+        tg, _ = gauss_01(self.ngp)
+        els = np.arange(self.nel, dtype=np.int64)
+        self._q = {"n2q0": (np.ones((self.ngp, 1)), els[:, None]),
+                   "n2q1c": (np.column_stack([1.0 - tg, tg]),
+                             np.column_stack([els, els + 1]))}
 
     @classmethod
     def from_interface(cls, mesh, iface, alpha0=None, n_gauss=None):
@@ -256,10 +264,28 @@ class RotationConstraint:
             None if f_b is None else f_b.reshape(self.nel, -1))
 
     def _tangent_kernel(self, g: _EdgeGeometry, cc, ss):
+        """Stiffness blocks (K_aa, K_bb, K_ab) of the force kernel.
+
+        Every term is a Gauss sum contracted as one matmul whose inner
+        dimension is the edge Gauss point axis, in the forms of
+        ``internal_forces``, so no per-Gauss-point nd x nd product is formed.
+        Per Gauss point, weighted by wS, rows (n, i) and columns (m, j):
+
+        - K_aa = (dt.n) (dN a^{ab} dN^T)[n, m] n_i n_j   (``_metric_kron``)
+          - (C + C^T),  C = n_i ((dN a^c)[n, j] (dN dta)[m]
+          + ss (dN vv)[n, j] dXi[m])                     (``_normal_kron``)
+          + dXi[n] dXi[m] Qxx_ij, over (g, j') with left rows
+          dXi[n] delta_{j'i} and right rows dXi[m] Qxx_{j'j} (``_gauss_sum``).
+        - K_bb: the first two K_aa terms on side b, with (nt, a_b, dab).
+        - K_ab = ss dXi[n] mnb[b, i] dNb[m, b] nt_j over (g, b)
+          (``_gauss_sum``) - (dNa ahat dNb^T)[n, m] n_i nt_j (``_metric_kron``).
+        """
         dNa = self.eq_a.dN
         dXi = dNa[..., self.eq_a.xi_dir]
         n, nt, tau, alen = g.n, g.nt, g.tau, g.alen
         wS = self.wS
+        w4 = wS[..., None, None]
+        eye = np.eye(3)
 
         nxnt = np.cross(n, nt)
         theta = ss[..., None] * nxnt
@@ -268,29 +294,25 @@ class RotationConstraint:
         dta = np.einsum("egai,egi->ega", g.aup_a, dt)
         dtn = np.einsum("egi,egi->eg", dt, n)
 
-        nn = np.einsum("egi,egj->egij", n, n)
-        Qab = (np.einsum("eg,egab,egij->egabij", dtn, g.acon_a, nn)
-               - np.einsum("ega,egbi,egj->egabij", dta, g.aup_a, n)
-               - np.einsum("egb,egi,egaj->egabij", dta, n, g.aup_a))
-        K_aa = np.einsum("eg,egna,egabij,egmb->enimj", wS, dNa, Qab, dNa)
-
-        tth = np.einsum("egi,egi->eg", tau, theta)
-        eye = np.eye(3)
-        Qxx = (tth[..., None, None] * (eye - 3.0 * np.einsum(
-            "egi,egj->egij", tau, tau))
-            + np.einsum("egi,egj->egij", theta, tau)
-            + np.einsum("egi,egj->egij", tau, theta)) / (alen ** 2)[..., None, None]
-        K_aa += np.einsum("eg,egn,egij,egm->enimj", wS, dXi, Qxx, dXi)
-
         # cross variation of tau with the edge normal, explicit s0 weight
         w_nta = np.cross(nt[:, :, None, :], g.aup_a)
         proj = np.einsum("egai,egi->ega", w_nta, tau)
         vv = (w_nta - proj[..., None] * tau[:, :, None, :]) / alen[..., None, None]
-        W = np.einsum("eg,eg,egna,egi,egaj,egm->enimj", wS, ss, dNa, n, vv, dXi)
-        K_aa -= W + W.transpose(0, 3, 4, 1, 2)
+        C = (_normal_kron(n, np.matmul(dNa, g.aup_a) * w4,
+                          np.einsum("egna,ega->egn", dNa, dta))
+             + _normal_kron(n, np.matmul(dNa, vv) * (wS * ss)[..., None, None],
+                            dXi))
+        K_aa = _metric_kron(dNa, g.acon_a * (wS * dtn)[..., None, None], n,
+                            dNa, n) - C - C.swapaxes(1, 2)
 
-        na = K_aa.shape[1]
-        K_aa = K_aa.reshape(self.nel, 3 * na, 3 * na)
+        tth = np.einsum("egi,egi->eg", tau, theta)
+        Qxx = (tth[..., None, None] * (eye - 3.0 * np.einsum(
+            "egi,egj->egij", tau, tau))
+            + np.einsum("egi,egj->egij", theta, tau)
+            + np.einsum("egi,egj->egij", tau, theta)) / (alen ** 2)[..., None, None]
+        K_aa += _gauss_sum(_kron_rows(dXi[:, :, None, :], eye),
+                           _kron_rows((wS[..., None] * dXi)[:, :, None, :],
+                                      Qxx))
         if not self.two_sided:
             return K_aa, None, None
 
@@ -299,27 +321,23 @@ class RotationConstraint:
         dd = cc[..., None] * n + ss[..., None] * nu
         dab = np.einsum("egbi,egi->egb", g.aup_b, dd)
         dnt = np.einsum("egi,egi->eg", dd, nt)
-        ntnt = np.einsum("egi,egj->egij", nt, nt)
-        Qt = (np.einsum("eg,egab,egij->egabij", dnt, g.acon_b, ntnt)
-              - np.einsum("ega,egbi,egj->egabij", dab, g.aup_b, nt)
-              - np.einsum("egb,egi,egaj->egabij", dab, nt, g.aup_b))
-        K_bb = np.einsum("eg,egna,egabij,egmb->enimj", wS, dNb, Qt, dNb)
-        nb = K_bb.shape[1]
-        K_bb = K_bb.reshape(self.nel, 3 * nb, 3 * nb)
+        Cb = _normal_kron(nt, np.matmul(dNb, g.aup_b) * w4,
+                          np.einsum("egnb,egb->egn", dNb, dab))
+        K_bb = _metric_kron(dNb, g.acon_b * (wS * dnt)[..., None, None], nt,
+                            dNb, nt) - Cb - Cb.swapaxes(1, 2)
 
         w_nb = np.cross(n[:, :, None, :], g.aup_b)
         projb = np.einsum("egbi,egi->egb", w_nb, tau)
         mnb = (w_nb - projb[..., None] * tau[:, :, None, :]) / alen[..., None, None]
-        T1 = np.einsum("eg,eg,egn,egbi,egj,egmb->enimj", wS, ss, dXi, mnb,
-                       nt, dNb)
         ctb = np.cross(tau[:, :, None, :], g.aup_b)
         ahat = (cc[..., None, None] * np.einsum("egai,egbi->egab", g.aup_a,
                                                 g.aup_b)
                 - ss[..., None, None] * np.einsum("egai,egbi->egab", g.aup_a,
                                                   ctb))
-        T2 = -np.einsum("eg,egab,egna,egi,egj,egmb->enimj", wS, ahat, dNa,
-                        n, nt, dNb)
-        K_ab = (T1 + T2).reshape(self.nel, 3 * na, 3 * nb)
+        K_ab = (_gauss_sum(
+            _kron_rows(((wS * ss)[..., None] * dXi)[:, :, None, :], mnb),
+            _kron_rows(dNb.swapaxes(-1, -2), nt[:, :, None, :]))
+            - _metric_kron(dNa, ahat * w4, n, dNb, nt))
         return K_aa, K_bb, K_ab
 
     # ------------------------------------------------------------------
@@ -336,9 +354,11 @@ class RotationConstraint:
         return self._force_kernel(g, eps * self.c0, eps * self.s0)
 
     def penalty_tangent(self, x_nodes, method: Penalty):
+        """((f_a, f_b), (K_aa, K_bb, K_ab)) from one geometry evaluation."""
         g = self._geometry(x_nodes)
         eps = method.epsilon
-        return self._tangent_kernel(g, eps * self.c0, eps * self.s0)
+        cc, ss = eps * self.c0, eps * self.s0
+        return self._force_kernel(g, cc, ss), self._tangent_kernel(g, cc, ss)
 
     # ------------------------------------------------------------------
     # Lagrange multiplier method
@@ -347,14 +367,7 @@ class RotationConstraint:
         return self.nel if method.interp == "n2q0" else self.nel + 1
 
     def _q_tables(self, interp: str):
-        tg, _ = gauss_01(self.ngp)
-        if interp == "n2q0":
-            Nq = np.ones((self.ngp, 1))
-            qconn = np.arange(self.nel, dtype=np.int64)[:, None]
-        else:
-            Nq = np.column_stack([1.0 - tg, tg])
-            qconn = np.column_stack([np.arange(self.nel, dtype=np.int64),
-                                     np.arange(1, self.nel + 1, dtype=np.int64)])
+        Nq, qconn = self._q[interp]
         return Nq, qconn, Nq.shape[1]
 
     def _g_field(self, g: _EdgeGeometry):
@@ -368,16 +381,21 @@ class RotationConstraint:
         qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
         return float(np.sum(self.wS * qg * self._g_field(g)))
 
-    def lm_force(self, x_nodes, q, method: Multiplier):
-        g = self._geometry(x_nodes)
-        Nq, qconn, _ = self._q_tables(method.interp)
-        qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
+    def _lm_force(self, g: _EdgeGeometry, qg, Nq):
         f_a, f_b = self._force_kernel(g, qg * (self.s0 + self.c0),
                                       qg * (self.s0 - self.c0))
         f_q = np.einsum("eg,gq->eq", self.wS * self._g_field(g), Nq)
         return f_a, f_b, f_q
 
+    def lm_force(self, x_nodes, q, method: Multiplier):
+        g = self._geometry(x_nodes)
+        Nq, qconn, _ = self._q_tables(method.interp)
+        qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
+        return self._lm_force(g, qg, Nq)
+
     def lm_tangent(self, x_nodes, q, method: Multiplier):
+        """((f_a, f_b, f_q), (K_aa, K_bb, K_ab, K_aq, K_bq)) from one
+        geometry evaluation."""
         g = self._geometry(x_nodes)
         Nq, qconn, nql = self._q_tables(method.interp)
         qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
@@ -393,7 +411,7 @@ class RotationConstraint:
             K_aq[:, :, l] = fa
             if self.two_sided:
                 K_bq[:, :, l] = fb
-        return K_aa, K_bb, K_ab, K_aq, K_bq
+        return self._lm_force(g, qg, Nq), (K_aa, K_bb, K_ab, K_aq, K_bq)
 
     def max_angle_deviation(self, x_nodes) -> float:
         """Largest |alpha - alpha0| over the edge, for multiplier validity."""

@@ -131,13 +131,81 @@ def _b_operators(pq, state, normal, a_vec, a_up, gamma):
     return B.reshape(nel, ngp, 6, 3 * nloc), Nt
 
 
+def _kron_rows(a, v):
+    """Rows a[..., k, n] v[..., k, i], flattened over (n, i) into 3 nloc.
+
+    a (nel, ngp, k, nloc) and v (..., k, 3) broadcast against each other; the
+    result is (nel, ngp, k, 3 nloc) in the (node, component) DOF order.
+    """
+    r = a[..., :, None] * v[..., None, :]
+    return r.reshape(*r.shape[:-2], -1)
+
+
+def _gauss_sum(L, R):
+    """sum over Gauss points g and rows k of the outer products L[e,g,k] R[e,g,k].
+
+    L (nel, ngp, k, p) and R (nel, ngp, k, q) are viewed as (nel, ngp k, .),
+    so the Gauss sum is the inner dimension of one matmul: (nel, p, q), with
+    no per-Gauss-point p x q temporary.
+    """
+    nel = L.shape[0]
+    return np.matmul(L.reshape(nel, -1, L.shape[-1]).swapaxes(1, 2),
+                     R.reshape(nel, -1, R.shape[-1]))
+
+
+def _metric_kron(dNl, W, x, dNr, y):
+    """sum_g (dNl W dNr^T)[n, m] x_i y_j, rows (n, i), cols (m, j).
+
+    The per-point nloc x nloc products S_g are two small matmuls; the Gauss
+    sum is one matmul of S (nel, nloc nloc, ngp) against x y^T (nel, ngp, 9).
+    """
+    nel, ngp, nl = dNl.shape[:3]
+    nr = dNr.shape[2]
+    S = np.matmul(np.matmul(dNl, W), dNr.swapaxes(-1, -2))
+    xy = x[..., :, None] * y[..., None, :]
+    K = np.matmul(S.reshape(nel, ngp, -1).swapaxes(1, 2),
+                  xy.reshape(nel, ngp, 9))
+    return K.reshape(nel, nl, nr, 3, 3).transpose(0, 1, 3, 2, 4).reshape(
+        nel, 3 * nl, 3 * nr)
+
+
+def _normal_kron(nrm, X, y):
+    """sum_g nrm_i X[n, j] y[m], rows (n, i), cols (m, j).
+
+    The Gauss sum is one matmul of V = nrm_i X[n, j] (nel, nloc 9, ngp)
+    against y (nel, ngp, nloc).
+    """
+    nel, ngp, nl = X.shape[:3]
+    V = nrm[:, :, None, :, None] * X[:, :, :, None, :]
+    K = np.matmul(V.reshape(nel, ngp, -1).swapaxes(1, 2), y)
+    return K.reshape(nel, nl, 3, 3, -1).transpose(0, 1, 2, 4, 3).reshape(
+        nel, 3 * nl, -1)
+
+
 def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     """Element internal force vectors and (optionally) consistent tangents.
 
-    Returns (f_el (nel, nd), K_el (nel, nd, nd) or None).
+    Returns (f_el (nel, nd), K_el (nel, nd, nd) or None), nd = 3 nloc.
+
+    Every stiffness term is one matmul whose inner dimension is the Gauss
+    point axis (times a few rows per point), so the Gauss sum happens inside
+    BLAS and no per-Gauss-point nd x nd product exists; the largest
+    per-point temporary is nloc x nloc, a ninth of it.  Sums over a surface
+    index are small per-point products, (nloc x 2)(2 x 2) or (2 x 3).
+
+    - material: B^T (M6 w) B over (g, the 6 strain rows) (``_gauss_sum``).
+    - membrane geometric: S = sum_g dN (tau w) dN^T over (g, b)
+      (``_gauss_sum``), added to the three component diagonals (S kron I).
+    - bending kM1 = -sum_g S_g[n, m] n_i n_j, S_g = dN (a^{ab} bM w) dN^T:
+      one matmul of S (nel, nloc nloc, ngp) against n n^T (nel, ngp, 9)
+      (``_metric_kron``).
+    - bending kM2 = -sum_g n_i (dN a^c w)[n, j] mt[m]: one matmul of
+      n_i (dN a^c w)[n, j] (nel, nloc 9, ngp) against mt (nel, ngp, nloc)
+      (``_normal_kron``); its transpose is the mirrored term.
     """
     state, normal, a_vec, a_up, h_vec, gamma = pq.current(x_nodes)
     ref = pq.ref_state
+    nel, ngp, nloc = pq.nel, pq.ngp, pq.nloc
     w = pq.wq * pq.jacA                                    # (nel, ngp)
     sv = material.stress_voigt(ref, state)                 # (nel, ngp, 6)
     B, Nt = _b_operators(pq, state, normal, a_vec, a_up, gamma)
@@ -147,39 +215,38 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
         return f_el, None
 
     C, D, E4, F = material.moduli_voigt(ref, state)        # (nel, ngp, 3, 3)
-    M6 = np.empty((pq.nel, pq.ngp, 6, 6))
+    M6 = np.empty((nel, ngp, 6, 6))
     M6[:, :, :3, :3] = 0.25 * C
     M6[:, :, :3, 3:] = 0.5 * D
     M6[:, :, 3:, :3] = 0.5 * E4
     M6[:, :, 3:, 3:] = F
     T = np.matmul(M6, B) * w[..., None, None]
-    K_el = np.matmul(B.transpose(0, 1, 3, 2), T).sum(axis=1)
+    K = _gauss_sum(B, T)
 
     # geometric part from the second variation of the strains
-    tau = np.empty((pq.nel, pq.ngp, 2, 2))
+    tau = np.empty((nel, ngp, 2, 2))
     tau[..., 0, 0] = sv[..., 0]
     tau[..., 1, 1] = sv[..., 1]
     tau[..., 0, 1] = tau[..., 1, 0] = sv[..., 2]
     # membrane: 1/2 tau : (Delta delta a) = tau^{ab} (d a_a . D a_b)
-    s_ab = np.einsum("egna,egab,egmb->egnm", pq.dN, tau * w[..., None, None],
-                     pq.dN)
-    K_geo = np.einsum("egnm,ij->enimj", s_ab,
-                      np.eye(3)).reshape(pq.nel, 3 * pq.nloc, 3 * pq.nloc)
+    dNt = pq.dN.swapaxes(-1, -2)                           # (nel, ngp, 2, nloc)
+    S = _gauss_sum(np.matmul(tau * w[..., None, None], dNt), dNt)
+    Kv = K.reshape(nel, nloc, 3, nloc, 3)
+    for i in range(3):
+        Kv[:, :, i, :, i] += S
 
     # bending: M0 : (Delta delta b)
     bM = (sv[..., 3] * state.b_cov[..., 0, 0]
           + sv[..., 4] * state.b_cov[..., 1, 1]
           + 2.0 * sv[..., 5] * state.b_cov[..., 0, 1])     # M : b
-    Ln = np.einsum("egna,egi->egnai", pq.dN, normal)       # (nel,ngp,n,2,3)
     w_ab = state.a_con * (bM * w)[..., None, None]
-    kM1 = -np.einsum("egnai,egab,egmbj->enimj", Ln, w_ab, Ln)
+    K -= _metric_kron(pq.dN, w_ab, normal, pq.dN, normal)
     mt = (sv[..., 3, None] * Nt[..., 0] + sv[..., 4, None] * Nt[..., 1]
           + 2.0 * sv[..., 5, None] * Nt[..., 2])           # (nel, ngp, nloc)
-    kM2 = -np.einsum("egi,egnc,egcj,egm->enimj",
-                     normal, pq.dN, a_up * w[..., None, None], mt)
-    K_geo += (kM1 + kM2 + kM2.transpose(0, 3, 4, 1, 2)).reshape(
-        pq.nel, 3 * pq.nloc, 3 * pq.nloc)
-    return f_el, K_el + K_geo
+    kM2 = _normal_kron(normal, np.matmul(pq.dN, a_up * w[..., None, None]),
+                       mt)
+    K -= kM2 + kM2.swapaxes(1, 2)
+    return f_el, K
 
 
 def total_energy(pq: PatchQuadrature, material, x_nodes):
@@ -212,13 +279,16 @@ def follower_pressure(pq: PatchQuadrature, p: float, x_nodes, tangent=True):
     f_el = f_el.reshape(pq.nel, -1)
     if not tangent:
         return f_el, None
-    # delta(n ja) = ja sum_b dN_B,b (a^b_j n_i - a^b_i n_j) dx_Bj
-    G = (np.einsum("egi,egbj->egibj", normal, a_up)
-         - np.einsum("egbi,egj->egibj", a_up, normal))
-    K_el = p * np.einsum("egn,egibj,egmb->enimj",
-                         pq.N * w[..., None], G, pq.dN)
-    nd = 3 * pq.nloc
-    return f_el, K_el.reshape(pq.nel, nd, nd)
+    # delta(n ja) = ja sum_b dN_B,b (a^b_j n_i - a^b_i n_j) dx_Bj: the
+    # first term is one row pair per point, N[n] n_i against (dN a^b)[m, j];
+    # the second one pair per b, N[n] a^b_i against dN_b[m] n_j
+    Nw = (pq.N * w[..., None])[:, :, None, :]
+    nrow = normal[:, :, None, :]
+    ua = np.matmul(pq.dN, a_up).reshape(pq.nel, pq.ngp, 1, -1)
+    K_el = p * (_gauss_sum(_kron_rows(Nw, nrow), ua)
+                - _gauss_sum(_kron_rows(Nw, a_up),
+                             _kron_rows(pq.dN.swapaxes(-1, -2), nrow)))
+    return f_el, K_el
 
 
 def point_load(mesh: Mesh, patch_idx: int, u: float, v: float, F):
@@ -335,14 +405,15 @@ def follower_edge_moment(eq: EdgeQuadrature, m: float, x_nodes, tangent=True):
     f_el = f_el.reshape(eq.nel, -1)
     if not tangent:
         return f_el, None
-    u = np.einsum("egnc,egci->egni", eq.dN, a_up)
-    s = np.einsum("egna,egab,egmb->egnm", eq.dN, state.a_con, eq.dN)
+    # K / (-m w) = q[n] n_i u[m, j] - (dN a^{ab} dN^T)[n, m] n_i Pa_j
+    #              - n_i u[n, j] q[m] - (its transpose)
+    u = np.matmul(eq.dN, a_up)                              # (nel, ngp, nloc, 3)
     Pa = np.einsum("egc,egci->egi", P, a_vec)
-    wn = w[..., None, None, None, None]
-    K = (np.einsum("egn,egi,egmj->egnimj", q, normal, u)
-         - np.einsum("egi,egnm,egj->egnimj", normal, s, Pa)
-         - np.einsum("egi,egm,egnj->egnimj", normal, q, u)
-         - np.einsum("egn,egmi,egj->egnimj", q, u, normal))
-    K_el = (-m) * (wn * K).sum(axis=1)
-    nd = 3 * eq.nloc
-    return f_el, K_el.reshape(eq.nel, nd, nd)
+    qw = (q * w[..., None])[:, :, None, :]
+    K3 = _normal_kron(normal, u * w[..., None, None], q)
+    K_el = (-m) * (_gauss_sum(_kron_rows(qw, normal[:, :, None, :]),
+                              u.reshape(eq.nel, eq.ngp, 1, -1))
+                   - _metric_kron(eq.dN, state.a_con * w[..., None, None],
+                                  normal, eq.dN, Pa)
+                   - K3 - K3.swapaxes(1, 2))
+    return f_el, K_el

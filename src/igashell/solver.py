@@ -155,12 +155,15 @@ class Model:
 
         for (con, method), off in zip(self.constraints, offsets):
             if isinstance(method, Penalty):
-                f_a, f_b = con.penalty_force(x, method)
+                if tangent:
+                    (f_a, f_b), (K_aa, K_bb, K_ab) = con.penalty_tangent(
+                        x, method)
+                else:
+                    f_a, f_b = con.penalty_force(x, method)
                 np.add.at(r, con.edof_a.ravel(), f_a.ravel())
                 if f_b is not None:
                     np.add.at(r, con.edof_b.ravel(), f_b.ravel())
                 if tangent:
-                    K_aa, K_bb, K_ab = con.penalty_tangent(x, method)
                     trips.append((con.edof_a, con.edof_a, K_aa))
                     if K_bb is not None:
                         trips.append((con.edof_b, con.edof_b, K_bb))
@@ -169,7 +172,11 @@ class Model:
                                       K_ab.transpose(0, 2, 1)))
             else:
                 qc = q[off:off + con.n_multipliers(method)]
-                f_a, f_b, f_q = con.lm_force(x, qc, method)
+                if tangent:
+                    (f_a, f_b, f_q), (K_aa, K_bb, K_ab, K_aq, K_bq) = \
+                        con.lm_tangent(x, qc, method)
+                else:
+                    f_a, f_b, f_q = con.lm_force(x, qc, method)
                 np.add.at(r, con.edof_a.ravel(), f_a.ravel())
                 if f_b is not None:
                     np.add.at(r, con.edof_b.ravel(), f_b.ravel())
@@ -177,8 +184,6 @@ class Model:
                 qdof = nd + off + qconn
                 np.add.at(r, qdof.ravel(), f_q.ravel())
                 if tangent:
-                    K_aa, K_bb, K_ab, K_aq, K_bq = con.lm_tangent(
-                        x, qc, method)
                     trips.append((con.edof_a, con.edof_a, K_aa))
                     trips.append((con.edof_a, qdof, K_aq))
                     trips.append((qdof, con.edof_a, K_aq.transpose(0, 2, 1)))

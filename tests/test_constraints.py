@@ -63,7 +63,7 @@ def penalty_force_global(con, mesh, x, method):
 
 
 def penalty_tangent_global(con, mesh, x, method):
-    K_aa, K_bb, K_ab = con.penalty_tangent(x, method)
+    _, (K_aa, K_bb, K_ab) = con.penalty_tangent(x, method)
     triples = [(con.edof_a, con.edof_a, K_aa)]
     if K_bb is not None:
         triples += [(con.edof_b, con.edof_b, K_bb),
@@ -93,6 +93,20 @@ def two_sided_cases():
 ALL_CASES = two_sided_cases() + one_sided_cases()
 
 
+def extra_gauss_cases():
+    """The same cases with p + 2 edge Gauss points instead of p + 1."""
+    mesh_c, mesh_p = one_sided_cases()[0][1], one_sided_cases()[1][1]
+    out = [(name, mesh, RotationConstraint.from_interface(
+                mesh, mesh.interfaces[0], n_gauss=4))
+           for name, mesh, _ in two_sided_cases()]
+    out.append(("symmetry", mesh_c, RotationConstraint.fixed(
+        mesh_c, 0, "v0", normal=[0.0, np.sin(np.radians(40.0)),
+                                 np.cos(np.radians(40.0))], n_gauss=4)))
+    out.append(("clamp", mesh_p, RotationConstraint.fixed(mesh_p, 0, "u0",
+                                                          n_gauss=4)))
+    return out
+
+
 @pytest.mark.parametrize("name,mesh,con", ALL_CASES, ids=lambda c: c if isinstance(c, str) else "")
 def test_rest_state_carries_no_constraint_force(name, mesh, con):
     method = Penalty(3.0)
@@ -118,6 +132,24 @@ def test_penalty_force_is_energy_gradient(name, mesh, con):
 
 @pytest.mark.parametrize("name,mesh,con", ALL_CASES, ids=lambda c: c if isinstance(c, str) else "")
 def test_penalty_tangent_matches_fd(name, mesh, con):
+    check_penalty_tangent(name, mesh, con)
+
+
+@pytest.mark.parametrize("name,mesh,con", extra_gauss_cases(), ids=lambda c: c if isinstance(c, str) else "")
+def test_penalty_tangent_matches_fd_extra_gauss(name, mesh, con):
+    assert con.ngp == 4
+    check_penalty_tangent(name, mesh, con)
+
+
+def test_penalty_tangent_force_is_penalty_force():
+    _, mesh, con = two_sided_cases()[0]
+    x = perturbed(mesh)
+    forces, _ = con.penalty_tangent(x, Penalty(3.0))
+    for f_t, f in zip(forces, con.penalty_force(x, Penalty(3.0))):
+        assert np.array_equal(f_t, f)
+
+
+def check_penalty_tangent(name, mesh, con):
     method = Penalty(3.0)
     x = perturbed(mesh)
     K = penalty_tangent_global(con, mesh, x, method)
@@ -136,7 +168,19 @@ def test_penalty_tangent_matches_fd(name, mesh, con):
 @pytest.mark.parametrize("interp", ["n2q0", "n2q1c"])
 def test_multiplier_saddle_system_matches_fd(interp):
     mesh = fold_mesh()
-    con = pair_constraint(mesh)
+    check_multiplier_saddle(mesh, pair_constraint(mesh), interp)
+
+
+@pytest.mark.parametrize("interp", ["n2q0", "n2q1c"])
+def test_multiplier_saddle_system_matches_fd_extra_gauss(interp):
+    mesh = fold_mesh()
+    con = RotationConstraint.from_interface(mesh, mesh.interfaces[0],
+                                            n_gauss=4)
+    assert con.ngp == 4
+    check_multiplier_saddle(mesh, con, interp)
+
+
+def check_multiplier_saddle(mesh, con, interp):
     method = Multiplier(interp)
     nq = con.n_multipliers(method)
     nd = mesh.n_dofs
@@ -167,7 +211,9 @@ def test_multiplier_saddle_system_matches_fd(interp):
     err_r = np.abs(r0 - g).max() / np.abs(g).max()
     assert err_r < 1e-6, f"multiplier residual vs energy gradient {err_r:.2e}"
 
-    K_aa, K_bb, K_ab, K_aq, K_bq = con.lm_tangent(x, q, method)
+    forces, (K_aa, K_bb, K_ab, K_aq, K_bq) = con.lm_tangent(x, q, method)
+    for f_t, f in zip(forces, con.lm_force(x, q, method)):
+        assert np.array_equal(f_t, f)
     _, qconn, _ = con._q_tables(interp)
     qdof = nd + qconn
     K = assemble_matrix(nd + nq, [

@@ -7,6 +7,8 @@ import pytest
 from igashell.elements import (
     EdgeQuadrature,
     PatchQuadrature,
+    _metric_kron,
+    _normal_kron,
     dead_area_load,
     dead_edge_traction,
     follower_edge_moment,
@@ -30,8 +32,11 @@ def strip_mesh():
     return mesh
 
 
-def tables(mesh):
-    return [PatchQuadrature(p, mesh.patch_node_ids[k])
+def tables(mesh, extra_gauss=False):
+    """Default (p+1) x (q+1) tables, or (p+2) x (q+1) so that ngp != nloc."""
+    return [PatchQuadrature(p, mesh.patch_node_ids[k],
+                            n_gauss=(p.degree_u + 2, p.degree_v + 1)
+                            if extra_gauss else None)
             for k, p in enumerate(mesh.patches)]
 
 
@@ -97,7 +102,19 @@ def test_residual_is_energy_gradient(mat):
 @pytest.mark.parametrize("mat", [KOITER, PROJ], ids=["koiter", "projected"])
 def test_tangent_matches_residual_jacobian(mesh_fn, mat):
     mesh = mesh_fn()
-    pqs = tables(mesh)
+    check_tangent(mesh, tables(mesh), mat)
+
+
+@pytest.mark.parametrize("mesh_fn", [cap_mesh, strip_mesh], ids=["cap", "strip"])
+@pytest.mark.parametrize("mat", [KOITER, PROJ], ids=["koiter", "projected"])
+def test_tangent_matches_residual_jacobian_extra_gauss(mesh_fn, mat):
+    mesh = mesh_fn()
+    pqs = tables(mesh, extra_gauss=True)
+    assert all(pq.ngp != pq.nloc for pq in pqs)
+    check_tangent(mesh, pqs, mat)
+
+
+def check_tangent(mesh, pqs, mat):
     x0 = perturbed(mesh, 0.02, seed=5)
     f0, K = assemble_K(pqs, mat, x0, mesh.n_dofs)
 
@@ -108,6 +125,24 @@ def test_tangent_matches_residual_jacobian(mesh_fn, mat):
     scale = np.abs(J).max()
     err = np.abs(K - J).max() / scale
     assert err < 1e-5, f"tangent vs FD residual rel err {err:.3e}"
+
+
+def test_kernel_contractions_match_einsum():
+    # the einsum strings define the matmul factorisations; ngp != nloc
+    rng = np.random.default_rng(2)
+    e, g, n = 3, 5, 4
+    dNl, dNr = rng.standard_normal((2, e, g, n, 2))
+    W = rng.standard_normal((e, g, 2, 2))
+    x, y = rng.standard_normal((2, e, g, 3))
+    X = rng.standard_normal((e, g, n, 3))
+    v = rng.standard_normal((e, g, n))
+    for K, ref in (
+            (_metric_kron(dNl, W, x, dNr, y),
+             np.einsum("egna,egab,egmb,egi,egj->enimj", dNl, W, dNr, x, y)),
+            (_normal_kron(x, X, v),
+             np.einsum("egi,egnj,egm->enimj", x, X, v))):
+        err = np.abs(K - ref.reshape(K.shape)).max() / np.abs(ref).max()
+        assert err < 1e-14, f"contraction differs from einsum: {err:.2e}"
 
 
 def test_dead_area_load_resultant():
