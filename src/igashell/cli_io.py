@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import Multiplier, Penalty, RotationConstraint
-from .geometry import (Mesh, MeshFormatError, make_cylinder_panel,
+from .geometry import (SIDES, Mesh, MeshFormatError, make_cylinder_panel,
                        make_folded_strip, make_plate, make_sphere_panel,
                        skew_patch)
 from .kinematics import surface_vectors_state
 from .materials import (CanhamMaterial, KoiterMaterial, MixedMaterial,
                         ProjectedNeoHooke)
 from .solver import Model
-
-SIDES = ("u0", "u1", "v0", "v1")
 
 
 class ConfigError(ValueError):

@@ -31,7 +31,7 @@ Recovered constraint moment about the edge tangent: m_tau = eps sin(alpha -
 alpha0) for the penalty and m_tau = -q for the multiplier method.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,21 +63,6 @@ class Multiplier:
     def __post_init__(self):
         if self.interp not in ("n2q0", "n2q1c"):
             raise ValueError(f"unknown multiplier interpolation {self.interp!r}")
-
-
-def _flip_edge_tables(eq: EdgeQuadrature) -> None:
-    """Reverse element and gauss ordering so tables align with the mate edge."""
-    for name in ("N", "dN", "d2N", "wq", "X", "ref_normal", "ref_tangent_vec",
-                 "jac_edge0"):
-        setattr(eq, name, np.ascontiguousarray(getattr(eq, name)[::-1, ::-1]))
-    eq.conn = np.ascontiguousarray(eq.conn[::-1])
-    eq.local_ids = np.ascontiguousarray(eq.local_ids[::-1])
-    eq.edof = (3 * eq.conn[:, :, None]
-               + np.arange(3)[None, None, :]).reshape(eq.nel, -1)
-    eq.ref_state = replace(
-        eq.ref_state, **{f: np.ascontiguousarray(getattr(eq.ref_state, f)[::-1, ::-1])
-                         for f in ("a_cov", "b_cov", "a_con", "det_a", "jac",
-                                   "b_con", "H", "kappa")})
 
 
 class _EdgeGeometry:
@@ -129,9 +114,7 @@ class RotationConstraint:
 
         if self.two_sided:
             self.eq_b = EdgeQuadrature(pb, mesh.patch_node_ids[patch_b],
-                                       side_b, n_gauss=ng)
-            if flip_b:
-                _flip_edge_tables(self.eq_b)
+                                       side_b, n_gauss=ng, reverse=flip_b)
             if self.eq_b.nel != self.nel:
                 raise ValueError("interface sides have different element counts")
             gap = np.linalg.norm(self.eq_a.X - self.eq_b.X, axis=-1).max()

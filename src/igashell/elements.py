@@ -50,45 +50,18 @@ class PatchQuadrature:
 
     def __init__(self, patch: Patch, node_ids: np.ndarray, n_gauss=None):
         self.patch = patch
-        pu, pv = patch.degree_u, patch.degree_v
-        ngu, ngv = (pu + 1, pv + 1) if n_gauss is None else n_gauss
+        bu, bv = patch.basis_u, patch.basis_v
+        ngu, ngv = (bu.degree + 1, bv.degree + 1) if n_gauss is None else n_gauss
         tu, wu = gauss_01(ngu)
         tv, wv = gauss_01(ngv)
-        spans_u = patch.basis_u.breaks
-        spans_v = patch.basis_v.breaks
-        nelu, nelv = patch.n_elements_u, patch.n_elements_v
-        self.nel = nelu * nelv
-        self.nloc = (pu + 1) * (pv + 1)
-        self.ngp = ngu * ngv
-        nel, nloc, ngp = self.nel, self.nloc, self.ngp
-
-        self.N = np.empty((nel, ngp, nloc))
-        self.dN = np.empty((nel, ngp, nloc, 2))
-        self.d2N = np.empty((nel, ngp, nloc, 3))
-        self.wq = np.empty((nel, ngp))
-        self.conn = np.empty((nel, nloc), dtype=np.int64)
-        self.local_ids = np.empty((nel, nloc), dtype=np.int64)
-        e = 0
-        for ev in range(nelv):
-            v0, v1 = spans_v[ev], spans_v[ev + 1]
-            for eu in range(nelu):
-                u0, u1 = spans_u[eu], spans_u[eu + 1]
-                g = 0
-                for t_v, w_v in zip(tv, wv):
-                    for t_u, w_u in zip(tu, wu):
-                        u = u0 + t_u * (u1 - u0)
-                        v = v0 + t_v * (v1 - v0)
-                        idx, N, dN, d2N = patch.basis2d(u, v)
-                        if g == 0:
-                            self.local_ids[e] = idx
-                            self.conn[e] = node_ids[idx]
-                        self.N[e, g] = N
-                        self.dN[e, g] = dN
-                        self.d2N[e, g] = d2N
-                        self.wq[e, g] = w_u * w_v * (u1 - u0) * (v1 - v0)
-                        g += 1
-                e += 1
-
+        self.local_ids, self.N, self.dN, self.d2N = patch.tabulate(
+            bu.tabulate(np.arange(bu.n_elements), tu),
+            bv.tabulate(np.arange(bv.n_elements), tv))
+        self.nel, self.ngp, self.nloc = nel, ngp, nloc = self.N.shape
+        self.conn = node_ids[self.local_ids]
+        # w_u w_v h_u h_v, multiplied in that order, (nel_v, nel_u, ngv, ngu)
+        self.wq = ((wv[:, None] * wu[None, :]) * bu.h[:, None, None]
+                   * bv.h[:, None, None, None]).reshape(nel, ngp)
         self.edof = (3 * self.conn[:, :, None]
                      + np.arange(3)[None, None, :]).reshape(nel, 3 * nloc)
         # reference geometry at the quadrature points
@@ -309,53 +282,35 @@ class EdgeQuadrature:
     The running parameter is u for sides v0/v1 and v for u0/u1; ``xi_dir``
     stores which of the two surface parameters runs along the edge.  The full
     2D element basis is tabulated at the edge Gauss points so that rotation
-    coupled quantities (normals, curvatures) are available.
+    coupled quantities (normals, curvatures) are available.  ``reverse``
+    lays the points out in reversed element and Gauss order, running against
+    the edge parameter, as the mate side of a reversed interface needs.
     """
 
     def __init__(self, patch: Patch, node_ids: np.ndarray, side: str,
-                 n_gauss=None):
+                 n_gauss=None, reverse=False):
         self.patch = patch
         self.side = side
         along_u = side in ("v0", "v1")
         self.xi_dir = 0 if along_u else 1
-        basis_run = patch.basis_u if along_u else patch.basis_v
-        p_run = patch.degree_u if along_u else patch.degree_v
-        ng = p_run + 1 if n_gauss is None else n_gauss
-        tg, wg = gauss_01(ng)
-        spans = basis_run.breaks
-        if side == "v0":
-            v_fix = patch.knots_v[0]
-        elif side == "v1":
-            v_fix = patch.knots_v[-1]
-        elif side == "u0":
-            v_fix = patch.knots_u[0]
-        else:
-            v_fix = patch.knots_u[-1]
-        self.nel = len(spans) - 1
-        self.ngp = ng
-        self.nloc = (patch.degree_u + 1) * (patch.degree_v + 1)
-        nel, nloc = self.nel, self.nloc
-        self.N = np.empty((nel, ng, nloc))
-        self.dN = np.empty((nel, ng, nloc, 2))
-        self.d2N = np.empty((nel, ng, nloc, 3))
-        self.wq = np.empty((nel, ng))
-        self.conn = np.empty((nel, nloc), dtype=np.int64)
-        self.local_ids = np.empty((nel, nloc), dtype=np.int64)
-        for e in range(nel):
-            s0, s1 = spans[e], spans[e + 1]
-            for g, (t, wgt) in enumerate(zip(tg, wg)):
-                s = s0 + t * (s1 - s0)
-                u, v = (s, v_fix) if along_u else (v_fix, s)
-                idx, N, dN, d2N = patch.basis2d(u, v)
-                if g == 0:
-                    self.local_ids[e] = idx
-                    self.conn[e] = node_ids[idx]
-                self.N[e, g] = N
-                self.dN[e, g] = dN
-                self.d2N[e, g] = d2N
-                self.wq[e, g] = wgt * (s1 - s0)
-        self.edof = (3 * self.conn[:, :, None]
-                     + np.arange(3)[None, None, :]).reshape(nel, 3 * nloc)
+        run, fix = ((patch.basis_u, patch.basis_v) if along_u
+                    else (patch.basis_v, patch.basis_u))
+        tg, wg = gauss_01(run.degree + 1 if n_gauss is None else n_gauss)
+        els = np.arange(run.n_elements)
+        if reverse:
+            els, tg, wg = els[::-1], tg[::-1], wg[::-1]
+        # the fixed parameter: first element at t = 0 or last element at t = 1
+        end = side.endswith("1")
+        f_fix = fix.eval_elements([fix.n_elements - 1 if end else 0],
+                                  [[float(end)]])
+        f_run = run.tabulate(els, tg)
+        self.local_ids, self.N, self.dN, self.d2N = patch.tabulate(
+            *((f_run, f_fix) if along_u else (f_fix, f_run)))
+        self.nel, self.ngp, self.nloc = self.N.shape
+        self.conn = node_ids[self.local_ids]
+        self.wq = wg[None, :] * run.h[els, None]
+        self.edof = (3 * self.conn[:, :, None] + np.arange(3)[None, None, :]
+                     ).reshape(self.nel, 3 * self.nloc)
         Xe = patch.points[self.local_ids]
         self.X = np.einsum("egn,eni->egi", self.N, Xe)
         A_vec = np.einsum("egna,eni->egai", self.dN, Xe)

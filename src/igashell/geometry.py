@@ -20,6 +20,7 @@ from .nurbs import (
     greville_abscissae,
     insertion_matrix,
     open_knot_vector,
+    scalar_square,
 )
 
 SIDES = ("u0", "u1", "v0", "v1")
@@ -122,23 +123,34 @@ class Patch:
         Returns (idx, N, dN, d2N) for the supported functions only; dN has
         columns (d/du, d/dv), d2N has columns (uu, vv, uv).
         """
-        cu, Nu, dNu, d2Nu = self.basis_u.eval(u)
-        cv, Nv, dNv, d2Nv = self.basis_v.eval(v)
-        return self._combine(cu, (Nu, dNu, d2Nu), cv, (Nv, dNv, d2Nv))
+        idx, N, dN, d2N = self.tabulate(
+            self.basis_u.eval_elements(*self.basis_u.locate(u)),
+            self.basis_v.eval_elements(*self.basis_v.locate(v)))
+        return idx[0], N[0, 0], dN[0, 0], d2N[0, 0]
 
-    def _combine(self, cu, fu, cv, fv):
-        Nu, dNu, d2Nu = fu
-        Nv, dNv, d2Nv = fv
-        idx = (cv[:, None] * self.n_u + cu[None, :]).ravel()
-        w = self.weights[idx]
-        B = (Nv[:, None] * Nu[None, :]).ravel()
-        B_u = (Nv[:, None] * dNu[None, :]).ravel()
-        B_v = (dNv[:, None] * Nu[None, :]).ravel()
-        B_uu = (Nv[:, None] * d2Nu[None, :]).ravel()
-        B_vv = (d2Nv[:, None] * Nu[None, :]).ravel()
-        B_uv = (dNv[:, None] * dNu[None, :]).ravel()
-        return idx, *_rationalize(w, B, np.stack([B_u, B_v], axis=-1),
-                                  np.stack([B_uu, B_vv, B_uv], axis=-1))
+    def tabulate(self, fu, fv):
+        """Rational basis on the tensor product of 1-D element tables.
+
+        fu = (conn, N, dN, d2N) from ``BasisGrid.eval_elements`` along u,
+        with tables (nel_u, m_u, p+1); fv likewise along v.  Elements and
+        the points within one are ordered with u running fastest.  Returns
+        local_ids (nel, nloc) and N (nel, npts, nloc), dN (..., 2) and d2N
+        (..., 3), with nel = nel_v nel_u and npts = m_v m_u.
+        """
+        cu, Nu, dNu, d2Nu = fu
+        cv, Nv, dNv, d2Nv = fv
+        nel, npts = len(cv) * len(cu), Nv.shape[1] * Nu.shape[1]
+        idx = (cv[:, None, :, None] * self.n_u
+               + cu[None, :, None, :]).reshape(nel, -1)
+
+        def prod(fv_, fu_):
+            return (fv_[:, None, :, None, :, None]
+                    * fu_[None, :, None, :, None, :]).reshape(nel, npts, -1)
+
+        dB = np.stack([prod(Nv, dNu), prod(dNv, Nu)])
+        d2B = np.stack([prod(Nv, d2Nu), prod(d2Nv, Nu), prod(dNv, dNu)])
+        return idx, *_rationalize(self.weights[idx][:, None, :], prod(Nv, Nu),
+                                  dB, d2B)
 
     def evaluate(self, u: float, v: float):
         """Surface point, tangents and second derivatives at (u, v).
@@ -180,25 +192,25 @@ class Patch:
 def _rationalize(w, B, dB, d2B):
     """Turn weighted B-spline values into rational basis values.
 
-    Second derivatives follow the explicit quotient rule; columns of d2B are
-    (uu, vv, uv) and the mixed column pairs with (u, v) in dB.
+    B is (..., nloc) with w broadcasting against it; dB (2, ..., nloc) and
+    d2B (3, ..., nloc) carry the derivative index first, so every operation
+    runs on contiguous rows.  Returns N (..., nloc), dN (..., nloc, 2) and
+    d2N (..., nloc, 3).  Second derivatives follow the explicit quotient
+    rule; the columns of d2B are (uu, vv, uv) and the mixed one pairs with
+    (u, v) in dB.  Each point's values do not depend on the batch: W is a
+    row sum, the derivative sums run in index order (``cumsum``), and every
+    other operation is elementwise, in the order of the one-point formula.
     """
-    wB = w * B
-    wdB = w[:, None] * dB
-    wd2B = w[:, None] * d2B
-    W = wB.sum()
-    Wd = wdB.sum(axis=0)           # (2,)
-    Wdd = wd2B.sum(axis=0)         # (3,): uu, vv, uv
-    N = wB / W
-    dN = (wdB - np.outer(wB, Wd) / W) / W
-    pair = ((0, 0), (1, 1), (0, 1))
-    d2N = np.empty_like(wd2B)
-    for k, (a, b) in enumerate(pair):
-        d2N[:, k] = (wd2B[:, k]
-                     - (wdB[:, a] * Wd[b] + wdB[:, b] * Wd[a]) / W
-                     - wB * Wdd[k] / W
-                     + 2.0 * wB * Wd[a] * Wd[b] / W ** 2) / W
-    return N, dN, d2N
+    wB, wdB, wd2B = w * B, w * dB, w * d2B
+    W = wB.sum(axis=-1, keepdims=True)
+    Wd = np.cumsum(wdB, axis=-1)[..., -1:]
+    Wdd = np.cumsum(wd2B, axis=-1)[..., -1:]
+    W2 = scalar_square(W)
+    dN = (wdB - wB * Wd / W) / W
+    d2N = [(wd2B[k] - (wdB[a] * Wd[b] + wdB[b] * Wd[a]) / W - wB * Wdd[k] / W
+            + 2.0 * wB * Wd[a] * Wd[b] / W2) / W
+           for k, (a, b) in enumerate(((0, 0), (1, 1), (0, 1)))]
+    return wB / W, np.stack(list(dN), axis=-1), np.stack(d2N, axis=-1)
 
 
 # ---------------------------------------------------------------------------

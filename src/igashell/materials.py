@@ -25,6 +25,8 @@ import numpy as np
 from .kinematics import (
     MetricState,
     det22,
+    layer_coefficients,
+    layer_metric,
     metric_state,
     outer4,
     sym4,
@@ -225,12 +227,10 @@ class MixedMaterial(ShellMaterial):
         return c4, zero, zero, f4
 
     def energy(self, ref, cur):
-        J, I1 = self._membrane._invariants(ref, cur)
-        Wm = (0.25 * self.lam * (J ** 2 - 1.0 - 2.0 * np.log(J))
-              + 0.5 * self.mu * (I1 - 2.0 - 2.0 * np.log(J)))
         K = cur.b_cov - ref.b_cov
         _, M0 = self._bending.stress(ref, cur)
-        return Wm + 0.5 * np.einsum("...ab,...ab->...", M0, K)
+        return (self._membrane.energy(ref, cur)
+                + 0.5 * np.einsum("...ab,...ab->...", M0, K))
 
 
 def _gauss_legendre(n: int, half_width: float):
@@ -270,7 +270,6 @@ class ProjectedNeoHooke(ShellMaterial):
     # -- layer machinery -------------------------------------------------
 
     def _layer(self, ref, cur, xi):
-        from .kinematics import layer_metric
         G_cov, G_con, s0 = layer_metric(ref, xi)
         g_cov, g_con, s = layer_metric(cur, xi)
         Js = np.sqrt(det22(g_cov) / det22(G_cov))
@@ -311,7 +310,6 @@ class ProjectedNeoHooke(ShellMaterial):
         tau = np.zeros(shape)
         M0 = np.zeros(shape)
         for xi, w in zip(self.xi, self.wts):
-            from .kinematics import layer_coefficients
             _, G_con, s0, g_cov, g_con, _, Js = self._layer(ref, cur, xi)
             f, _ = self._fJ(Js)
             tau_l = self.mu * G_con + f[..., None, None] * g_con
@@ -325,7 +323,6 @@ class ProjectedNeoHooke(ShellMaterial):
         return tau, M0
 
     def moduli(self, ref, cur):
-        from .kinematics import layer_coefficients
         shape = cur.a_cov.shape + (2, 2)
         c4 = np.zeros(shape)
         d4 = np.zeros(shape)
@@ -386,7 +383,6 @@ class ProjectedNeoHooke(ShellMaterial):
         """Reduced-variation convention: the layer metric is perturbed as
         g + g_a da + g_b db with base-state coefficients, which makes the
         reduced (tau, M0) the exact energy gradient."""
-        from .kinematics import layer_coefficients
         W = np.zeros(cur.a_cov.shape[:-2])
         for xi, w in zip(self.xi, self.wts):
             G_cov, G_con, s0, g_cov, _, _, _ = self._layer(ref, cur, xi)

@@ -12,6 +12,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -59,6 +61,17 @@ def element_spans(knots: np.ndarray) -> np.ndarray:
     """Breakpoints of the nonempty spans, shape (n_elements + 1,)."""
     uniq = np.unique(knots)
     return uniq
+
+
+def scalar_square(x) -> np.ndarray:
+    """x ** 2 elementwise, rounded as a float64 scalar rounds it.
+
+    A scalar power calls the C library's pow, while NumPy squares arrays;
+    the two differ in the last bit for about one value in a thousand.
+    Batched tables use this to stay bit-identical to point evaluations.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([math.pow(v, 2.0) for v in x.ravel()]).reshape(x.shape)
 
 
 def bernstein(degree: int, t: np.ndarray):
@@ -206,30 +219,56 @@ class BasisGrid:
             raise ValueError("knot vector too short for degree")
         self.C, self.conn, self.breaks = extraction_operators(self.knots, self.degree)
         self.n_elements = len(self.breaks) - 1
-        self.spans = np.column_stack([self.breaks[:-1], self.breaks[1:]])
+        self.h = np.diff(self.breaks)          # span lengths
+        self.h2 = scalar_square(self.h)
 
     def element_of(self, u: float) -> int:
         e = int(np.searchsorted(self.breaks, u, side="right") - 1)
         return min(max(e, 0), self.n_elements - 1)
 
-    def eval_element(self, e: int, t: np.ndarray):
-        """Basis values on element ``e`` at local coordinates t in [0, 1].
+    def locate(self, u: float):
+        """The element containing u and u's local coordinate, shaped as
+        ``eval_elements`` takes them: ([e], [[t]])."""
+        e = self.element_of(float(u))
+        return [e], [[(float(u) - self.breaks[e]) / self.h[e]]]
 
-        Returns (conn, N, dN, d2N); derivative columns are with respect to
-        the patch parameter.
+    def eval_elements(self, e, t):
+        """Basis values on elements ``e`` (n,) at local coordinates t (n, m).
+
+        Returns (conn (n, p+1), N, dN, d2N), each table (n, m, p+1), with
+        derivatives with respect to the patch parameter.  The Bernstein
+        tables are built once for all points and every C_e is applied in one
+        batched matmul with one row per point: a one-row product is the BLAS
+        call a one-point evaluation makes, so a value does not depend on how
+        many points are tabulated with it.
         """
-        h = self.breaks[e + 1] - self.breaks[e]
-        B, dB, d2B = bernstein(self.degree, t)
-        C = self.C[e]
-        N = B @ C.T
-        dN = (dB @ C.T) / h
-        d2N = (d2B @ C.T) / h ** 2
-        return self.conn[e], N, dN, d2N
+        e = np.asarray(e, dtype=np.int64)
+        t = np.asarray(t, dtype=float)
+        n, m = t.shape
+        CT = np.repeat(self.C[e], m, axis=0).swapaxes(1, 2)
+        N, dN, d2N = (np.matmul(T[:, None, :], CT).reshape(n, m, -1)
+                      for T in bernstein(self.degree, t.ravel()))
+        return (self.conn[e], N, dN / self.h[e, None, None],
+                d2N / self.h2[e, None, None])
+
+    def tabulate(self, e, t):
+        """``eval_elements`` at u = u_e + t h_e, for local points t (m,).
+
+        Each u is formed and mapped back to its local coordinate as ``eval``
+        does, so the tables equal point evaluations at u bit for bit; the
+        round trip is inexact at most Gauss points.
+        """
+        e = np.asarray(e, dtype=np.int64)
+        u0, h = self.breaks[e, None], self.h[e, None]
+        u = u0 + np.asarray(t, dtype=float)[None, :] * h
+        return self.eval_elements(e, (u - u0) / h)
+
+    def eval_element(self, e: int, t: np.ndarray):
+        """Basis values on element ``e`` at local coordinates t in [0, 1]."""
+        conn, N, dN, d2N = self.eval_elements([e], np.atleast_1d(t)[None])
+        return conn[0], N[0], dN[0], d2N[0]
 
     def eval(self, u: float):
         """Basis values at a single parameter value (patch coordinates)."""
-        e = self.element_of(float(u))
-        h = self.breaks[e + 1] - self.breaks[e]
-        t = np.array([(float(u) - self.breaks[e]) / h])
-        conn, N, dN, d2N = self.eval_element(e, t)
-        return conn, N[0], dN[0], d2N[0]
+        conn, N, dN, d2N = self.eval_elements(*self.locate(u))
+        return conn[0], N[0, 0], dN[0, 0], d2N[0, 0]

@@ -11,8 +11,10 @@ the recovered moment independent of the implementation.
 import numpy as np
 import pytest
 
-from igashell.geometry import Mesh, make_plate, make_cylinder_panel, make_folded_strip
+from igashell.geometry import (Mesh, Patch, make_plate, make_cylinder_panel,
+                               make_folded_strip)
 from igashell.constraints import Penalty, Multiplier, RotationConstraint
+from igashell.elements import EdgeQuadrature
 
 from oracles import fd_gradient, fd_jacobian
 
@@ -25,6 +27,24 @@ FOLD_DEG = 30.0
 def fold_mesh(angle=FOLD_DEG):
     mesh, _ = make_folded_strip(L1, L2, WIDTH, angle, 2, 2, 2)
     assert len(mesh.interfaces) == 1
+    return mesh
+
+
+def backwards(p):
+    """The same surface with both parameters running the other way."""
+    def flip(knots):
+        return knots[0] + knots[-1] - knots[::-1]
+    return Patch(p.degree_u, p.degree_v, flip(p.knots_u), flip(p.knots_v),
+                 p.points.reshape(p.n_v, p.n_u, 3)[::-1, ::-1].reshape(-1, 3),
+                 p.weights.reshape(p.n_v, p.n_u)[::-1, ::-1].ravel())
+
+
+def reversed_fold_mesh(angle=FOLD_DEG):
+    """The folded strip with its second patch parametrized backwards, so the
+    shared edge runs one way on each side (a reversed interface)."""
+    strip = fold_mesh(angle)
+    mesh = Mesh([strip.patches[0], backwards(strip.patches[1])])
+    assert len(mesh.interfaces) == 1 and mesh.interfaces[0].reversed
     return mesh
 
 
@@ -87,6 +107,8 @@ def two_sided_cases():
     for name, ang in (("fold", FOLD_DEG), ("g1", 0.0)):
         mesh = fold_mesh(ang)
         out.append((name, mesh, pair_constraint(mesh)))
+    mesh = reversed_fold_mesh()
+    out.append(("reversed", mesh, pair_constraint(mesh)))
     return out
 
 
@@ -178,6 +200,43 @@ def test_multiplier_saddle_system_matches_fd_extra_gauss(interp):
                                             n_gauss=4)
     assert con.ngp == 4
     check_multiplier_saddle(mesh, con, interp)
+
+
+@pytest.mark.parametrize("interp", ["n2q0", "n2q1c"])
+def test_multiplier_saddle_system_matches_fd_reversed(interp):
+    mesh = reversed_fold_mesh()
+    check_multiplier_saddle(mesh, pair_constraint(mesh), interp)
+
+
+def edge_flipped_by_hand(eq):
+    """An edge's tables with element and Gauss order reversed array by array."""
+    out = {name: getattr(eq, name)[::-1, ::-1]
+           for name in ("N", "dN", "d2N", "wq", "X", "ref_normal",
+                        "ref_tangent_vec", "jac_edge0")}
+    out.update({name: getattr(eq, name)[::-1]
+                for name in ("conn", "local_ids", "edof")})
+    for f in ("a_cov", "b_cov", "a_con", "det_a", "jac", "b_con", "H",
+              "kappa"):
+        out["ref_state." + f] = getattr(eq.ref_state, f)[::-1, ::-1]
+    return out
+
+
+@pytest.mark.parametrize("n_gauss", [None, 4])
+def test_reversed_interface_tables_and_gap(n_gauss):
+    mesh = reversed_fold_mesh()
+    iface = mesh.interfaces[0]
+    con = RotationConstraint.from_interface(mesh, iface, n_gauss=n_gauss)
+    gap = np.linalg.norm(con.eq_a.X - con.eq_b.X, axis=-1).max()
+    assert gap < 1e-12 * mesh.bbox_diag()
+    # the rest angle, read through the reversed side, is the fold angle
+    assert np.allclose(con.c0, np.cos(np.radians(FOLD_DEG)), atol=1e-13)
+    plain = EdgeQuadrature(mesh.patches[iface.patch_b],
+                           mesh.patch_node_ids[iface.patch_b], iface.side_b,
+                           n_gauss=con.ngp)
+    for name, want in edge_flipped_by_hand(plain).items():
+        obj, _, attr = name.rpartition(".")
+        got = getattr(con.eq_b.ref_state if obj else con.eq_b, attr)
+        assert np.array_equal(got, want), name
 
 
 def check_multiplier_saddle(mesh, con, interp):

@@ -13,11 +13,13 @@ from igashell.elements import (
     dead_edge_traction,
     follower_edge_moment,
     follower_pressure,
+    gauss_01,
     internal_forces,
     point_load,
     total_energy,
 )
-from igashell.geometry import Mesh, make_folded_strip, make_plate, make_sphere_panel
+from igashell.geometry import (Mesh, make_cylinder_panel, make_folded_strip,
+                               make_plate, make_sphere_panel)
 from igashell.materials import CanhamMaterial, KoiterMaterial, ProjectedNeoHooke
 from oracles import fd_gradient, fd_jacobian
 
@@ -143,6 +145,61 @@ def test_kernel_contractions_match_einsum():
              np.einsum("egi,egnj,egm->enimj", x, X, v))):
         err = np.abs(K - ref.reshape(K.shape)).max() / np.abs(ref).max()
         assert err < 1e-14, f"contraction differs from einsum: {err:.2e}"
+
+
+def point_tables(patch, n_gauss, side=None):
+    """(ids, N, dN, d2N, wq) stacked (nel, ngp, ...) from one basis2d call
+    per Gauss point, at the points and weights of the quadrature classes."""
+    bu, bv = patch.basis_u, patch.basis_v
+
+    def spans(basis):
+        return zip(basis.breaks[:-1], basis.breaks[1:])
+
+    if side is None:
+        (tu, wu), (tv, wv) = (gauss_01(n) for n in n_gauss)
+        pts = [[(u0 + a * (u1 - u0), v0 + b * (v1 - v0),
+                 wa * wb * (u1 - u0) * (v1 - v0))
+                for b, wb in zip(tv, wv) for a, wa in zip(tu, wu)]
+               for v0, v1 in spans(bv) for u0, u1 in spans(bu)]
+    else:
+        along_u = side in ("v0", "v1")
+        knots = patch.knots_v if along_u else patch.knots_u
+        fix = knots[0] if side.endswith("0") else knots[-1]
+        run = [[(s0 + t * (s1 - s0), w * (s1 - s0))
+                for t, w in zip(*gauss_01(n_gauss))]
+               for s0, s1 in spans(bu if along_u else bv)]
+        pts = [[(s, fix, w) if along_u else (fix, s, w) for s, w in row]
+               for row in run]
+    vals = [[(*patch.basis2d(u, v), w) for u, v, w in row] for row in pts]
+    return [np.array([[pt[k] for pt in row] for row in vals]) for k in range(5)]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["p+1", "p+2"])
+@pytest.mark.parametrize("patch", [
+    make_plate(1.0, 0.7, 2, 3, 2),
+    make_sphere_panel(10.0, 0.0, 90.0, 18.0, 90.0, 2, 4, 3),
+    make_cylinder_panel(3.0, 3.0, 0.0, 90.0, 4, 3, 2),
+], ids=["plate", "cap", "cylinder"])
+def test_tables_match_point_evaluation(patch, extra):
+    """Batched tables equal per-point basis2d bit for bit, on all patches,
+    and the weights equal w_u w_v h_u h_v formed point by point."""
+    ids = np.arange(patch.points.shape[0])
+    pu, pv = patch.degree_u, patch.degree_v
+    n_gauss = (pu + 1 + extra, pv + 1)
+    pq = PatchQuadrature(patch, ids, n_gauss=n_gauss)
+    assert (pq.ngp != pq.nloc) == bool(extra)
+    quads = [(pq, point_tables(patch, n_gauss))]
+    for side in ("u0", "u1", "v0", "v1"):
+        ng = (pu if side in ("v0", "v1") else pv) + 1 + extra
+        quads.append((EdgeQuadrature(patch, ids, side, n_gauss=ng),
+                      point_tables(patch, ng, side)))
+    for q, (idx, N, dN, d2N, wq) in quads:
+        assert np.array_equal(idx, np.broadcast_to(q.local_ids[:, None],
+                                                   idx.shape))
+        assert np.array_equal(q.N, N)
+        assert np.array_equal(q.dN, dN)
+        assert np.array_equal(q.d2N, d2N)
+        assert np.array_equal(q.wq, wq)
 
 
 def test_dead_area_load_resultant():

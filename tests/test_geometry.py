@@ -17,6 +17,8 @@ from igashell.geometry import (
     refined,
     skew_patch,
 )
+from igashell.elements import gauss_01
+from igashell.nurbs import bernstein
 
 
 def fd_surface_derivs(patch, u, v, h=1e-3):
@@ -56,6 +58,60 @@ def test_derivatives_match_finite_differences(maker):
         assert np.allclose(h2[0], huu, rtol=2e-4, atol=1e-5)
         assert np.allclose(h2[1], hvv, rtol=2e-4, atol=1e-5)
         assert np.allclose(h2[2], huv, rtol=2e-4, atol=1e-5)
+
+
+def point_basis_reference(patch, u, v):
+    """Rational basis at one point with scalar arithmetic: each 1-D basis
+    from one Bernstein row, then the tensor product and quotient rule."""
+    tables = []
+    for basis, x in ((patch.basis_u, u), (patch.basis_v, v)):
+        e = basis.element_of(x)
+        h = basis.breaks[e + 1] - basis.breaks[e]
+        B, dB, d2B = bernstein(basis.degree, np.array([(x - basis.breaks[e]) / h]))
+        C = basis.C[e]
+        tables.append((basis.conn[e], (B @ C.T)[0], (dB @ C.T)[0] / h,
+                       (d2B @ C.T)[0] / h ** 2))
+    (cu, Nu, dNu, d2Nu), (cv, Nv, dNv, d2Nv) = tables
+    idx = (cv[:, None] * patch.n_u + cu[None, :]).ravel()
+    w = patch.weights[idx]
+    wB = w * np.outer(Nv, Nu).ravel()
+    wdB = w[:, None] * np.stack([np.outer(Nv, dNu).ravel(),
+                                 np.outer(dNv, Nu).ravel()], axis=-1)
+    wd2B = w[:, None] * np.stack([np.outer(Nv, d2Nu).ravel(),
+                                  np.outer(d2Nv, Nu).ravel(),
+                                  np.outer(dNv, dNu).ravel()], axis=-1)
+    W, Wd, Wdd = wB.sum(), wdB.sum(axis=0), wd2B.sum(axis=0)
+    dN = (wdB - np.outer(wB, Wd) / W) / W
+    d2N = np.empty_like(wd2B)
+    for k, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
+        d2N[:, k] = (wd2B[:, k] - (wdB[:, a] * Wd[b] + wdB[:, b] * Wd[a]) / W
+                     - wB * Wdd[k] / W + 2.0 * wB * Wd[a] * Wd[b] / W ** 2) / W
+    return idx, wB / W, dN, d2N
+
+
+@pytest.mark.parametrize("patch", [
+    make_plate(2.0, 1.0, 2, 3, 2),
+    make_sphere_panel(10.0, 0.0, 90.0, 18.0, 90.0, 2, 8, 8),
+    make_sphere_panel(2.0, 0.0, 90.0, 20.0, 80.0, 3, 2, 3),
+    make_cylinder_panel(3.0, 3.0, 0.0, 90.0, 4, 3, 2),
+    # one of these spans has pow(h, 2) != h * h
+    make_plate(72.0, 1.0, 2, 23, 1),
+], ids=["plate", "cap", "cubic-cap", "cylinder", "plate-23"])
+def test_basis2d_matches_scalar_reference(patch):
+    """Batched tabulation keeps the rounding of scalar point evaluation, at
+    random points, the corners and every default Gauss point."""
+    rng = np.random.default_rng(4)
+    (u0, u1), (v0, v1) = patch.param_range
+    pts = [(rng.uniform(u0, u1), rng.uniform(v0, v1)) for _ in range(100)]
+    pts += [(u0, v0), (u1, v1)]
+    gauss = [[a + t * (b - a) for a, b in zip(g.breaks[:-1], g.breaks[1:])
+              for t in gauss_01(g.degree + 1)[0]]
+             for g in (patch.basis_u, patch.basis_v)]
+    pts += [(u, v) for v in gauss[1] for u in gauss[0]]
+    for u, v in pts:
+        for got, want in zip(patch.basis2d(u, v),
+                             point_basis_reference(patch, u, v)):
+            assert np.array_equal(got, want), (u, v)
 
 
 def test_cylinder_is_exact():

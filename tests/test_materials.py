@@ -124,6 +124,23 @@ def test_koiter_energy_is_quadratic():
     assert np.isclose(W2, 0.25 * W1), (W1, W2)
 
 
+def test_mixed_energy_is_canham_membrane_plus_quadratic_bending():
+    """The mixed law reuses Canham's membrane energy; with no bending
+    stiffness its curvature term adds exactly zero."""
+    lam, mu = surface_lame(*lame_3d(70.0, 0.3), 0.05)
+    mat = MixedMaterial(lam, mu, 0.05)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        ref, cur = random_state_pair(rng)
+        J = cur.jac / ref.jac
+        I1 = np.einsum("ab,ab->", ref.a_con, cur.a_cov)
+        Wm = (0.25 * lam * (J ** 2 - 1.0 - 2.0 * np.log(J))
+              + 0.5 * mu * (I1 - 2.0 - 2.0 * np.log(J)))
+        _, M0 = KoiterMaterial(lam, mu, 0.05).stress(ref, cur)
+        Wb = 0.5 * np.einsum("ab,ab->", M0, cur.b_cov - ref.b_cov)
+        assert mat.energy(ref, cur) == Wm + Wb
+
+
 def test_surface_lame_matches_plate_stiffness():
     # bending block of the quadratic law must reproduce E T^3 / (12 (1 - nu^2))
     E, nu, T = 200.0, 0.3, 0.02
