@@ -85,13 +85,21 @@ class _EdgeGeometry:
 
 
 class RotationConstraint:
-    """One constrained edge, two-sided (interface) or one-sided (fixed mate).
+    """Constrained edges, two-sided (interfaces) or one-sided (fixed mates).
 
     Side a is always a patch edge.  The mate is either the matching edge of a
     second patch, tabulated at the same physical quadrature points, or a
     fixed normal field that never varies.  Element/gauss tables follow the
-    layout of EdgeQuadrature; per-element force and stiffness blocks are
-    returned dense for the caller to scatter-add.
+    layout of EdgeQuadrature.  A constraint built from a mesh holds one
+    edge; ``stack`` joins several edges of one kind into one constraint
+    over all their elements, which a single kernel call then evaluates.
+
+    The force and tangent methods return per-element blocks, stacked over
+    the edge elements: f_a (nel, 3 nloc_a), f_b on side b, f_q (nel, nql)
+    on the element's multipliers, and the stiffness blocks K_aa, K_bb, K_ab
+    (side a rows, side b columns), K_aq and K_bq.  Of each off-diagonal
+    pair only K_ab, K_aq or K_bq is returned; the tangent is symmetric, so
+    the caller scatters its transpose as well.
     """
 
     def __init__(self, mesh, patch_a: int, side_a: str, *, patch_b=None,
@@ -155,6 +163,34 @@ class RotationConstraint:
         self._q = {"n2q0": (np.ones((self.ngp, 1)), els[:, None]),
                    "n2q1c": (np.column_stack([1.0 - tg, tg]),
                              np.column_stack([els, els + 1]))}
+
+    @classmethod
+    def stack(cls, cons, q_offsets):
+        """One constraint over the edges of several, in their order.
+
+        The edges must agree in sidedness, running direction ``xi_dir`` and
+        (ngp, nloc) on each side.  The multiplier connectivity of each edge
+        is shifted by its offset in ``q_offsets``, so the stack takes the
+        model's whole q vector where an edge takes its own q.
+        """
+        first = cons[0]
+        out = cls.__new__(cls)
+        out.two_sided = first.two_sided
+        out.eq_a = EdgeQuadrature.stack([c.eq_a for c in cons])
+        out.eq_b = (EdgeQuadrature.stack([c.eq_b for c in cons])
+                    if first.two_sided else None)
+        out.nel, out.ngp = out.eq_a.nel, out.eq_a.ngp
+        for name in ("c0", "s0", "wS") + (
+                () if first.two_sided else ("fixed_nt",)):
+            setattr(out, name, np.concatenate([getattr(c, name)
+                                               for c in cons]))
+        out.edof_a = out.eq_a.edof
+        out.edof_b = out.eq_b.edof if first.two_sided else None
+        out._min_len = first._min_len
+        out._q = {interp: (Nq, np.concatenate(
+            [c._q[interp][1] + off for c, off in zip(cons, q_offsets)]))
+            for interp, (Nq, _) in first._q.items()}
+        return out
 
     @classmethod
     def from_interface(cls, mesh, iface, alpha0=None, n_gauss=None):

@@ -13,10 +13,12 @@ current-configuration Christoffel correction of the second basis derivatives.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .geometry import Mesh, Patch
-from .kinematics import surface_vectors_state
+from .kinematics import MetricState, surface_vectors_state
 
 __all__ = [
     "PatchQuadrature",
@@ -40,13 +42,64 @@ def gauss_01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-class PatchQuadrature:
+class _Tables:
+    """Basis tables at quadrature points, stacked over elements.
+
+    N (nel, ngp, nloc), dN (..., 2) and d2N (..., 3) with the mixed
+    derivative last, the global nodes ``conn`` (nel, nloc) and DOFs
+    ``edof`` (nel, 3 nloc) of each element, and the weights ``wq``.
+    ``STACKED`` names the per-element arrays the kernels read, and
+    ``SHARED`` the other attributes they read.
+    """
+
+    STACKED = ("N", "dN", "d2N", "conn", "wq", "edof")
+    SHARED = ()
+
+    @classmethod
+    def stack(cls, tables):
+        """One table over the elements of several, in their order.
+
+        The tables must share (ngp, nloc) and their ``SHARED`` attributes;
+        a single table is returned as it is, uncopied.  A stack carries only
+        ``STACKED`` and ``SHARED``.  Every kernel treats elements
+        independently, so a call on the stack returns, bit for bit, the
+        calls on the parts one after the other.
+        """
+        first = tables[0]
+        if len(tables) == 1:
+            return first
+        out = cls.__new__(cls)
+        for name in cls.SHARED:
+            setattr(out, name, getattr(first, name))
+        for name in cls.STACKED:
+            parts = [getattr(t, name) for t in tables]
+            if isinstance(parts[0], MetricState):
+                setattr(out, name, MetricState(*(
+                    np.concatenate([getattr(p, f.name) for p in parts])
+                    for f in fields(MetricState))))
+            else:
+                setattr(out, name, np.concatenate(parts))
+        out.nel, out.ngp, out.nloc = out.N.shape
+        return out
+
+    def _current(self, x_nodes: np.ndarray):
+        """Current metric state, normal, tangents a_a, raised tangents a^a
+        and second derivatives h of the map at every quadrature point."""
+        xe = x_nodes[self.conn]                             # (nel, nloc, 3)
+        a_vec = np.einsum("egna,eni->egai", self.dN, xe)
+        h_vec = np.einsum("egnr,eni->egri", self.d2N, xe)
+        state, normal = surface_vectors_state(a_vec, h_vec)
+        a_up = np.einsum("egab,egbi->egai", state.a_con, a_vec)
+        return state, normal, a_vec, a_up, h_vec
+
+
+class PatchQuadrature(_Tables):
     """Per-element basis tables and reference geometry for one patch.
 
-    Quadrature uses (p + 1) x (q + 1) Gauss points per element.  All arrays
-    are stacked over elements: N (nel, ngp, nloc), dN (..., 2), d2N (..., 3)
-    with the mixed derivative last.
+    Quadrature uses (p + 1) x (q + 1) Gauss points per element.
     """
+
+    STACKED = _Tables.STACKED + ("ref_state", "jacA")
 
     def __init__(self, patch: Patch, node_ids: np.ndarray, n_gauss=None):
         self.patch = patch
@@ -74,11 +127,7 @@ class PatchQuadrature:
 
     def current(self, x_nodes: np.ndarray):
         """Current metric states plus the vectors needed by the B operators."""
-        xe = x_nodes[self.conn]                             # (nel, nloc, 3)
-        a_vec = np.einsum("egna,eni->egai", self.dN, xe)
-        h_vec = np.einsum("egnr,eni->egri", self.d2N, xe)
-        state, normal = surface_vectors_state(a_vec, h_vec)
-        a_up = np.einsum("egab,egbi->egai", state.a_con, a_vec)
+        state, normal, a_vec, a_up, h_vec = self._current(x_nodes)
         gamma = np.einsum("egci,egri->egcr", a_up, h_vec)   # (nel,ngp,2,3ord)
         return state, normal, a_vec, a_up, h_vec, gamma
 
@@ -193,8 +242,10 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     M6[:, :, :3, 3:] = 0.5 * D
     M6[:, :, 3:, :3] = 0.5 * E4
     M6[:, :, 3:, 3:] = F
-    T = np.matmul(M6, B) * w[..., None, None]
+    T = np.matmul(M6, B)
+    T *= w[..., None, None]
     K = _gauss_sum(B, T)
+    del B, T        # the largest temporaries; the terms below need neither
 
     # geometric part from the second variation of the strains
     tau = np.empty((nel, ngp, 2, 2))
@@ -276,7 +327,7 @@ def point_load(mesh: Mesh, patch_idx: int, u: float, v: float, F):
 # edge tables and loads
 
 
-class EdgeQuadrature:
+class EdgeQuadrature(_Tables):
     """Boundary-strip tables for one side of a patch.
 
     The running parameter is u for sides v0/v1 and v for u0/u1; ``xi_dir``
@@ -286,6 +337,9 @@ class EdgeQuadrature:
     lays the points out in reversed element and Gauss order, running against
     the edge parameter, as the mate side of a reversed interface needs.
     """
+
+    STACKED = _Tables.STACKED + ("jac_edge0",)
+    SHARED = ("xi_dir",)
 
     def __init__(self, patch: Patch, node_ids: np.ndarray, side: str,
                  n_gauss=None, reverse=False):
@@ -320,12 +374,8 @@ class EdgeQuadrature:
         self.jac_edge0 = np.linalg.norm(self.ref_tangent_vec, axis=-1)
 
     def current(self, x_nodes: np.ndarray):
-        xe = x_nodes[self.conn]
-        a_vec = np.einsum("egna,eni->egai", self.dN, xe)
-        h_vec = np.einsum("egnr,eni->egri", self.d2N, xe)
-        state, normal = surface_vectors_state(a_vec, h_vec)
-        a_up = np.einsum("egab,egbi->egai", state.a_con, a_vec)
-        return state, normal, a_vec, a_up
+        """(state, normal, a_vec, a_up) of ``PatchQuadrature.current``."""
+        return self._current(x_nodes)[:4]
 
 
 def dead_edge_traction(eq: EdgeQuadrature, t):

@@ -97,10 +97,6 @@ class Patch:
         return ((self.knots_u[0], self.knots_u[-1]),
                 (self.knots_v[0], self.knots_v[-1]))
 
-    def grid_index(self, i: int, j: int) -> int:
-        """Flat control-point index from (u index, v index)."""
-        return j * self.n_u + i
-
     def copy(self) -> "Patch":
         return Patch(self.degree_u, self.degree_v, self.knots_u.copy(),
                      self.knots_v.copy(), self.points.copy(), self.weights.copy())
@@ -184,9 +180,6 @@ class Patch:
         if side == "v1":
             return (n_v - 1) * n_u + np.arange(n_u)
         raise MeshFormatError(f"unknown side {side!r}")
-
-    def bbox(self):
-        return self.points.min(axis=0), self.points.max(axis=0)
 
 
 def _rationalize(w, B, dB, d2B):

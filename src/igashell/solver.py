@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .constraints import Multiplier, Penalty
+from .constraints import Multiplier, Penalty, RotationConstraint
 from .elements import (EdgeQuadrature, PatchQuadrature, dead_area_load,
                        dead_edge_traction, follower_edge_moment,
                        follower_pressure, internal_forces, point_load)
@@ -43,7 +43,27 @@ class StepResult:
 
 
 class Model:
-    """A shell problem: discretized patches, loads and constraints."""
+    """A shell problem: discretized patches, loads and constraints.
+
+    ``quads`` holds one PatchQuadrature per patch and ``constraints`` one
+    (RotationConstraint, method) pair per constrained edge; both keep that
+    meaning for callers.  Assembly runs on blocks instead: patches of one
+    tabulation shape (ngp, nloc) are stacked into one PatchQuadrature, and
+    constraints of one kind -- method, one- or two-sided, ``xi_dir`` and
+    (ngp, nloc) on each side -- into one RotationConstraint, so every
+    assembly makes one kernel call per block.  The blocks and the scatter
+    indices are built once per layout of the patches, constraints and
+    follower loads, and again whenever those lists change.
+
+    Entry-order invariant: the residual and the COO triplets are emitted in
+    one fixed order -- patches in order, then each constraint in order with
+    f_a, f_b, f_q and K_aa, K_aq, K_aq^T, K_bb, K_ab, K_ab^T, K_bq, K_bq^T,
+    then the follower loads -- whatever the blocks are.  Each residual entry
+    is summed in that order, and SciPy's COO to CSR conversion sums
+    duplicate entries in an order its per-row sort derives from the input
+    order, so the order is part of the numbers.  Keeping it keeps r and K
+    bit for bit those of one kernel call per patch and per edge.
+    """
 
     def __init__(self, mesh, material, n_gauss=None):
         self.mesh = mesh
@@ -58,6 +78,7 @@ class Model:
         self.constraints = []       # (RotationConstraint, method)
         self._presc_mask = np.zeros(mesh.n_dofs, dtype=bool)
         self._presc_value = np.zeros(mesh.n_dofs)
+        self._layout = (None, None)     # (key, _Layout)
 
     # -- loads ----------------------------------------------------------
 
@@ -123,7 +144,7 @@ class Model:
 
     # -- assembly --------------------------------------------------------
 
-    def external_force(self, x, lam: float):
+    def external_force(self, x, lam: float, tangent: bool = True):
         """Assembled external load vector and follower tangent triplets."""
         nd = self.mesh.n_dofs
         f = np.zeros(nd)
@@ -131,91 +152,164 @@ class Model:
         for dofs, vals in self.dead_forces:
             np.add.at(f, dofs.ravel(), lam * vals.ravel())
         for patch, p in self.pressures:
-            fe, Ke = follower_pressure(self.quads[patch], lam * p, x)
+            fe, Ke = follower_pressure(self.quads[patch], lam * p, x, tangent)
             np.add.at(f, self.quads[patch].edof.ravel(), fe.ravel())
             trips.append((self.quads[patch].edof, self.quads[patch].edof, Ke))
         for eq, m in self.edge_moments:
-            fe, Ke = follower_edge_moment(eq, lam * m, x)
+            fe, Ke = follower_edge_moment(eq, lam * m, x, tangent)
             np.add.at(f, eq.edof.ravel(), fe.ravel())
             trips.append((eq.edof, eq.edof, Ke))
         return f, trips
 
+    def _current_layout(self):
+        key = (list(self.quads), list(self.constraints),
+               [patch for patch, _ in self.pressures],
+               [eq for eq, _ in self.edge_moments])
+        if key != self._layout[0]:
+            self._layout = (key, _Layout(self))
+        return self._layout[1]
+
     def assemble(self, x, q, lam: float, tangent: bool = True):
         """Residual and sparse tangent of the full saddle system."""
         nd = self.mesh.n_dofs
-        nq, offsets = self.multiplier_layout()
-        r = np.zeros(nd + nq)
-        trips = []
-
-        for pq in self.quads:
-            fe, Ke = internal_forces(pq, self.material, x, tangent)
-            np.add.at(r, pq.edof.ravel(), fe.ravel())
-            if tangent:
-                trips.append((pq.edof, pq.edof, Ke))
-
-        for (con, method), off in zip(self.constraints, offsets):
-            if isinstance(method, Penalty):
-                if tangent:
-                    (f_a, f_b), (K_aa, K_bb, K_ab) = con.penalty_tangent(
-                        x, method)
-                else:
-                    f_a, f_b = con.penalty_force(x, method)
-                np.add.at(r, con.edof_a.ravel(), f_a.ravel())
-                if f_b is not None:
-                    np.add.at(r, con.edof_b.ravel(), f_b.ravel())
-                if tangent:
-                    trips.append((con.edof_a, con.edof_a, K_aa))
-                    if K_bb is not None:
-                        trips.append((con.edof_b, con.edof_b, K_bb))
-                        trips.append((con.edof_a, con.edof_b, K_ab))
-                        trips.append((con.edof_b, con.edof_a,
-                                      K_ab.transpose(0, 2, 1)))
-            else:
-                qc = q[off:off + con.n_multipliers(method)]
-                if tangent:
-                    (f_a, f_b, f_q), (K_aa, K_bb, K_ab, K_aq, K_bq) = \
-                        con.lm_tangent(x, qc, method)
-                else:
-                    f_a, f_b, f_q = con.lm_force(x, qc, method)
-                np.add.at(r, con.edof_a.ravel(), f_a.ravel())
-                if f_b is not None:
-                    np.add.at(r, con.edof_b.ravel(), f_b.ravel())
-                _, qconn, _ = con._q_tables(method.interp)
-                qdof = nd + off + qconn
-                np.add.at(r, qdof.ravel(), f_q.ravel())
-                if tangent:
-                    trips.append((con.edof_a, con.edof_a, K_aa))
-                    trips.append((con.edof_a, qdof, K_aq))
-                    trips.append((qdof, con.edof_a, K_aq.transpose(0, 2, 1)))
-                    if K_bb is not None:
-                        trips.append((con.edof_b, con.edof_b, K_bb))
-                        trips.append((con.edof_a, con.edof_b, K_ab))
-                        trips.append((con.edof_b, con.edof_a,
-                                      K_ab.transpose(0, 2, 1)))
-                        trips.append((con.edof_b, qdof, K_bq))
-                        trips.append((qdof, con.edof_b,
-                                      K_bq.transpose(0, 2, 1)))
-
-        f_ext, ext_trips = self.external_force(x, lam)
+        lay = self._current_layout()
+        out = [_block_outputs(block, method, self.material, x, q, tangent)
+               for block, method in lay.blocks]
+        r = np.bincount(lay.f_rows, np.concatenate(
+            [out[b][name][e0:e1].ravel() for b, name, e0, e1 in lay.f_plan]),
+            minlength=lay.n)
+        f_ext, ext_trips = self.external_force(x, lam, tangent)
         r[:nd] -= f_ext
         K = None
         if tangent:
-            for dofs, cdofs, Ke in ext_trips:
-                trips.append((dofs, cdofs, -Ke))
-            K = _triplets_to_csr(trips, nd + nq)
+            vals = [(out[b][name][e0:e1].transpose(0, 2, 1) if mirror
+                     else out[b][name][e0:e1]).ravel()
+                    for b, name, e0, e1, mirror in lay.k_plan]
+            vals += [-Ke.ravel() for _, _, Ke in ext_trips]
+            K = sp.coo_matrix((np.concatenate(vals), (lay.rows, lay.cols)),
+                              shape=(lay.n, lay.n)).tocsr()
         return r, K, f_ext
 
 
-def _triplets_to_csr(trips, n):
-    rows, cols, vals = [], [], []
-    for rdof, cdof, Ke in trips:
-        nel, nr, nc = Ke.shape
-        rows.append(np.repeat(rdof, nc, axis=1).ravel())
-        cols.append(np.tile(cdof, (1, nr)).ravel())
-        vals.append(Ke.reshape(nel, -1).ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+_F_NAMES = ("f_a", "f_b", "f_q")
+_K_NAMES = ("K_aa", "K_bb", "K_ab", "K_aq", "K_bq")
+
+
+def _block_outputs(block, method, material, x, q, tangent):
+    """{name: per-element array} from one kernel call on a block.
+
+    A patch block (method None) returns its element forces and tangents as
+    f_a and K_aa on DOF table "a", its elements' own DOFs; a constraint
+    block returns the blocks of its ``*_force`` or ``*_tangent`` method.
+    """
+    if method is None:
+        fk = internal_forces(block, material, x, tangent)
+        fk = ((fk[0],), (fk[1],) if tangent else ())
+    elif isinstance(method, Penalty):
+        fk = (block.penalty_tangent(x, method) if tangent
+              else (block.penalty_force(x, method), ()))
+    else:
+        fk = (block.lm_tangent(x, q, method) if tangent
+              else (block.lm_force(x, q, method), ()))
+    return {**dict(zip(_F_NAMES, fk[0])), **dict(zip(_K_NAMES, fk[1]))}
+
+
+def _terms(item, method):
+    """One member's force terms (name, DOF table) and stiffness terms
+    (name, row table, column table), in entry order, mirrors left out."""
+    if method is None:
+        return [("f_a", "a")], [("K_aa", "a", "a")]
+    lm, two = isinstance(method, Multiplier), item.two_sided
+    return ([("f_a", "a")] + [("f_b", "b")] * two + [("f_q", "q")] * lm,
+            [("K_aa", "a", "a")] + [("K_aq", "a", "q")] * lm
+            + [("K_bb", "b", "b"), ("K_ab", "a", "b")] * two
+            + [("K_bq", "b", "q")] * (lm and two))
+
+
+def _group(items, key):
+    """Indices of items grouped by key, groups in order of first appearance."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    return list(groups.values())
+
+
+def _kind(member):
+    """Block key: members with equal keys share one kernel call."""
+    item, method = member
+    if method is None:
+        return (None,) + item.N.shape[1:]
+    return (method, item.two_sided, item.eq_a.xi_dir, item.ngp,
+            item.eq_a.nloc, item.eq_b.nloc if item.two_sided else 0)
+
+
+class _Layout:
+    """The kernel blocks of a Model and the plan that scatters their output.
+
+    The members -- patches (method None), then constraints -- are grouped
+    by ``_kind`` into ``blocks`` of (stacked table or constraint, method).
+    A member owns elements [e0, e1) of every array its block returns.
+    ``f_plan`` lists (block, name, e0, e1) and ``k_plan`` (block, name, e0,
+    e1, mirrored) in the entry order of the Model docstring; ``f_rows`` and
+    ``rows``/``cols`` are their DOF indices, followed in ``rows``/``cols``
+    by those of the follower loads.
+    """
+
+    def __init__(self, model):
+        nd = model.mesh.n_dofs
+        nq, offsets = model.multiplier_layout()
+        self.n = nd + nq
+        quads = model.quads
+        members = [(pq, None) for pq in quads] + list(model.constraints)
+        q_offsets = [0] * len(quads) + [max(off, 0) for off in offsets]
+        self.blocks, dofs, where = [], [], {}
+        for idx in _group(members, _kind):
+            items = [members[i][0] for i in idx]
+            method = members[idx[0]][1]
+            if method is None:
+                block = PatchQuadrature.stack(items)
+                tables = {"a": block.edof}
+            else:
+                block = RotationConstraint.stack(
+                    items, [q_offsets[i] for i in idx])
+                tables = {"a": block.edof_a, "b": block.edof_b}
+                if isinstance(method, Multiplier):
+                    tables["q"] = nd + block._q_tables(method.interp)[1]
+            e0 = 0
+            for i, item in zip(idx, items):
+                where[i] = (len(self.blocks), e0, e0 + item.nel)
+                e0 += item.nel
+            self.blocks.append((block, method))
+            dofs.append(tables)
+
+        self.f_plan, self.k_plan, f_rows, pairs = [], [], [], []
+        for i, (item, method) in enumerate(members):
+            b, e0, e1 = where[i]
+            f_terms, k_terms = _terms(item, method)
+            for name, t in f_terms:
+                self.f_plan.append((b, name, e0, e1))
+                f_rows.append(dofs[b][t][e0:e1].ravel())
+            for name, rt, ct in k_terms:
+                # an off-diagonal block is followed by its mirror
+                for mirror in ((False, True) if rt != ct else (False,)):
+                    self.k_plan.append((b, name, e0, e1, mirror))
+                    rdof, cdof = dofs[b][rt][e0:e1], dofs[b][ct][e0:e1]
+                    pairs.append((cdof, rdof) if mirror else (rdof, cdof))
+        pairs += [(quads[patch].edof, quads[patch].edof)
+                  for patch, _ in model.pressures]
+        pairs += [(eq.edof, eq.edof) for eq, _ in model.edge_moments]
+        self.f_rows = np.concatenate(f_rows)
+        # entry (e, i, j) of a block couples rdof[e, i] with cdof[e, j]
+        size = sum(rdof.size * cdof.shape[1] for rdof, cdof in pairs)
+        idx_type = np.int32 if self.n < 2**31 else np.int64
+        self.rows = np.empty(size, idx_type)
+        self.cols = np.empty(size, idx_type)
+        end = 0
+        for rdof, cdof in pairs:
+            start, end = end, end + rdof.size * cdof.shape[1]
+            shape = (len(rdof), rdof.shape[1], cdof.shape[1])
+            self.rows[start:end].reshape(shape)[...] = rdof[:, :, None]
+            self.cols[start:end].reshape(shape)[...] = cdof[:, None, :]
 
 
 def linear_solve(model: Model):
@@ -316,6 +410,8 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
     put a roundoff floor under the assembled residual that can exceed
     tol_rel * ref at small load increments; stagnation slightly above the
     tolerance but far below the load scale is accepted as that floor.
+    A full step whose trial residual meets the tolerance converges there,
+    without assembling the tangent of the new iterate.
     """
     nd = model.mesh.n_dofs
     stag = 1e-13 * model.mesh.bbox_diag()
@@ -401,6 +497,10 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
             # the assembly noise floor can mask a true small descent
         x += alpha * upd[:nd].reshape(-1, 3)
         q += alpha * upd[nd:]
+        if alpha == 1.0 and r_full <= tol_rel * ref:
+            # the full step's trial residual is the residual of the new
+            # iterate, bit for bit: converged without another tangent
+            return True, it, r_full
         upd *= alpha
         # a displacement update at roundoff level cannot reduce the residual
         # further; accept the iterate rather than loop to max_iter

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import igashell.solver as solver_mod
+from igashell.benchmarks import build_bending_folded, build_hemisphere_hole
 from igashell.constraints import Multiplier, Penalty, RotationConstraint
+from igashell.elements import internal_forces
 from igashell.geometry import Mesh, make_folded_strip, make_plate
 from igashell.materials import KoiterMaterial
 from igashell.solver import Model, NonConvergenceError, displacement_at, solve
+
+from test_constraints import reversed_fold_mesh
 
 E, NU, T = 200.0, 0.3, 0.02
 
@@ -104,3 +110,188 @@ def test_divergence_raises_after_cuts():
     model.add_point_force(0, 1.0, 0.2, [0.0, 0.0, 1.0])
     with pytest.raises(NonConvergenceError):
         solve(model, n_steps=1, max_cuts=1, max_iter=5)
+
+
+# -- stacked assembly -------------------------------------------------------
+
+
+def reference_assemble(model, x, q, lam, tangent):
+    """One kernel call per patch and per edge, scattered in entry order:
+    patches, then per constraint f_a, f_b, f_q and K_aa, K_aq, K_aq^T, K_bb,
+    K_ab, K_ab^T, K_bq, K_bq^T, then the follower loads."""
+    nd = model.mesh.n_dofs
+    nq, offsets = model.multiplier_layout()
+    r = np.zeros(nd + nq)
+    trips = []
+    for pq in model.quads:
+        fe, Ke = internal_forces(pq, model.material, x, tangent)
+        np.add.at(r, pq.edof.ravel(), fe.ravel())
+        trips.append((pq.edof, pq.edof, Ke))
+    for (con, method), off in zip(model.constraints, offsets):
+        K_aa = K_bb = K_ab = K_aq = K_bq = f_q = qdof = None
+        if isinstance(method, Penalty):
+            if tangent:
+                (f_a, f_b), (K_aa, K_bb, K_ab) = con.penalty_tangent(
+                    x, method)
+            else:
+                f_a, f_b = con.penalty_force(x, method)
+        else:
+            qc = q[off:off + con.n_multipliers(method)]
+            if tangent:
+                (f_a, f_b, f_q), (K_aa, K_bb, K_ab, K_aq, K_bq) = \
+                    con.lm_tangent(x, qc, method)
+            else:
+                f_a, f_b, f_q = con.lm_force(x, qc, method)
+            qdof = nd + off + con._q_tables(method.interp)[1]
+        a, b = con.edof_a, con.edof_b
+        for dofs, fe in ((a, f_a), (b, f_b), (qdof, f_q)):
+            if fe is not None:
+                np.add.at(r, dofs.ravel(), fe.ravel())
+        for rdof, cdof, Ke in ((a, a, K_aa), (a, qdof, K_aq), (b, b, K_bb),
+                               (a, b, K_ab), (b, qdof, K_bq)):
+            if Ke is not None:
+                trips.append((rdof, cdof, Ke))
+                if rdof is not cdof:
+                    trips.append((cdof, rdof, Ke.transpose(0, 2, 1)))
+    f_ext, ext = model.external_force(x, lam)
+    r[:nd] -= f_ext
+    if not tangent:
+        return r, None
+    trips += [(rdof, cdof, -Ke) for rdof, cdof, Ke in ext]
+    rows = np.concatenate([np.repeat(rdof, Ke.shape[2], axis=1).ravel()
+                           for rdof, _, Ke in trips])
+    cols = np.concatenate([np.tile(cdof, (1, Ke.shape[1])).ravel()
+                           for _, cdof, Ke in trips])
+    vals = np.concatenate([Ke.ravel() for _, _, Ke in trips])
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(nd + nq, nd + nq))
+    return r, K.tocsr()
+
+
+def assert_assembly_is_reference(model, seed=5, lam=0.7):
+    rng = np.random.default_rng(seed)
+    nq, _ = model.multiplier_layout()
+    x = model.mesh.node_coords + 1e-3 * model.mesh.bbox_diag() * \
+        rng.standard_normal(model.mesh.node_coords.shape)
+    q = rng.standard_normal(nq)
+    for tangent in (True, False):
+        r, K, _ = model.assemble(x, q, lam, tangent)
+        r_ref, K_ref = reference_assemble(model, x, q, lam, tangent)
+        assert np.array_equal(r, r_ref)
+        if tangent:
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(K, name), getattr(K_ref, name))
+
+
+def n_blocks(model):
+    model.assemble(model.mesh.node_coords,
+                   np.zeros(model.multiplier_layout()[0]), 1.0, False)
+    blocks = model._current_layout().blocks
+    return (sum(method is None for _, method in blocks),
+            sum(method is not None for _, method in blocks))
+
+
+@pytest.mark.parametrize("method", [("penalty", 1e4), ("lm", "n2q0"),
+                                    ("lm", "n2q1c")])
+def test_stacked_assembly_folded_strip(method):
+    model, _ = build_bending_folded(2, 2, method)
+    # eight patches, the seven interfaces and the clamp
+    assert n_blocks(model) == (1, 2)
+    assert_assembly_is_reference(model)
+
+
+@pytest.mark.parametrize("method", [Penalty(3.0), Multiplier("n2q1c")])
+def test_stacked_assembly_reversed_interface(method):
+    mesh = reversed_fold_mesh()
+    model = Model(mesh, KoiterMaterial.from_youngs(E, NU, T))
+    for _ in range(2):
+        model.add_constraint(RotationConstraint.from_interface(
+            mesh, mesh.interfaces[0]), method)
+    assert n_blocks(model) == (1, 1)
+    assert_assembly_is_reference(model)
+
+
+def test_stacked_assembly_hemisphere():
+    model = build_hemisphere_hole(2, 4)
+    assert n_blocks(model) == (1, 1), "the two symmetry edges form one block"
+    assert_assembly_is_reference(model)
+
+
+def two_shape_model():
+    """Patches of two tabulation shapes, interleaved, and constraints of
+    five kinds, interleaved, with a pressure and an edge moment."""
+    plates = [make_plate(1.0, 0.4, 2, 2, 3),
+              make_plate(1.0, 0.4, 3, 2, 2).transformed(shift=[0, 1, 0]),
+              make_plate(1.0, 0.4, 2, 3, 2).transformed(shift=[0, 2, 0])]
+    strip, _ = make_folded_strip(0.5, 0.5, 0.4, 20.0, 2, 2, 2, 2, 1)
+    mesh = Mesh(plates + [p.transformed(shift=[0, 3, 0])
+                          for p in strip.patches])
+    model = Model(mesh, KoiterMaterial.from_youngs(E, NU, T))
+    ifaces = mesh.detect_interfaces()
+    assert len(ifaces) == 2
+    lm, pen = Multiplier("n2q0"), Penalty(2.0)
+    for con, method in (
+            (RotationConstraint.fixed(mesh, 0, "u0"), pen),
+            (RotationConstraint.from_interface(mesh, ifaces[0]), lm),
+            (RotationConstraint.fixed(mesh, 1, "v1", normal=[0, 1, 0]), lm),
+            (RotationConstraint.from_interface(mesh, ifaces[1]), pen),
+            (RotationConstraint.fixed(mesh, 2, "u1"), pen),
+            (RotationConstraint.from_interface(mesh, ifaces[0]), pen),
+            (RotationConstraint.fixed(mesh, 0, "v0"), lm),
+            (RotationConstraint.from_interface(mesh, ifaces[1]), lm)):
+        model.add_constraint(con, method)
+    model.add_pressure(1, 0.3)
+    model.add_edge_moment(5, "u1", 0.2)
+    return model
+
+
+def test_stacked_assembly_many_blocks():
+    model = two_shape_model()
+    patch_blocks, con_blocks = n_blocks(model)
+    assert (patch_blocks, con_blocks) == (2, 5)
+    assert_assembly_is_reference(model)
+
+
+def test_layout_follows_the_constraint_list():
+    model = build_hemisphere_hole(2, 4)
+    x, q = model.mesh.node_coords, np.zeros(0)
+    _, K_two, _ = model.assemble(x, q, 1.0)
+    cons = list(model.constraints)
+    (con_a, how), (con_b, _) = cons
+
+    def assert_reference():
+        _, K, _ = model.assemble(x, q, 1.0)
+        _, K_ref = reference_assemble(model, x, q, 1.0, True)
+        assert np.array_equal(K.data, K_ref.data)
+        return K
+
+    # as many constraints as before, in place, with another penalty
+    model.constraints.clear()
+    model.constraints += [(con_b, Penalty(2.0 * how.epsilon)), (con_a, how)]
+    assert not np.array_equal(assert_reference().data, K_two.data)
+    model.constraints.clear()
+    assert_reference()
+    model.constraints += cons
+    assert np.array_equal(assert_reference().data, K_two.data)
+
+
+def test_every_tangent_is_factorized(monkeypatch):
+    """A step that converges on its last full step's trial residual does
+    not assemble the tangent of the converged iterate."""
+    counts = {"tangents": 0, "factorizations": 0}
+    assemble, splu = Model.assemble, solver_mod.splu
+
+    def counting_assemble(self, x, q, lam, tangent=True):
+        counts["tangents"] += tangent
+        return assemble(self, x, q, lam, tangent)
+
+    def counting_splu(*args, **kwargs):
+        counts["factorizations"] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "assemble", counting_assemble)
+    monkeypatch.setattr(solver_mod, "splu", counting_splu)
+    _, model = cantilever_model(load=2e-5)
+    hist = solve(model, n_steps=2, tol_rel=1e-10)
+    assert len(hist) == 2
+    assert counts["tangents"] == counts["factorizations"] > 2
+    assert sum(h.iterations for h in hist) == counts["tangents"]
