@@ -45,14 +45,15 @@ def _cmd_run(args):
     try:
         if s["linear"]:
             x_nodes, _ = linear_solve(model)
-            history = [dict(step=1, lam=1.0, iterations=1, residual=0.0)]
+            history = [dict(step=1, lam=1.0, iterations=1, residual=0.0,
+                            reason="linear")]
             states = [(1.0, x_nodes)]
         else:
             steps = solve(model, n_steps=s["n_steps"], tol_rel=s["tol_rel"],
                           max_iter=s["max_iter"], max_cuts=s["max_cuts"],
                           verbose=args.verbose)
             history = [dict(step=k, lam=h.lam, iterations=h.iterations,
-                            residual=h.residual)
+                            residual=h.residual, reason=h.reason)
                        for k, h in enumerate(steps, 1)]
             states = [(h.lam, h.x) for h in steps]
     except NonConvergenceError as exc:
@@ -60,9 +61,9 @@ def _cmd_run(args):
         return 3
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "history.csv"),
-              ["step", "lam", "iterations", "residual"],
+              ["step", "lam", "iterations", "residual", "reason"],
               [[h["step"], _fmt(h["lam"]), h["iterations"],
-                _fmt(h["residual"])] for h in history])
+                _fmt(h["residual"]), h["reason"]] for h in history])
     written = ["history.csv"]
     if cfg.outputs["probes"]:
         rows = []

@@ -37,6 +37,7 @@ import numpy as np
 
 from .elements import (EdgeQuadrature, _gauss_sum, _kron_rows,
                        _metric_kron, _normal_kron, gauss_01)
+from .kinematics import cross3
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class _EdgeGeometry:
         self.aup_b = aup_b
         self.acon_b = acon_b
         self.cosa = np.einsum("egi,egi->eg", n, nt)
-        self.sina = np.einsum("egi,egi->eg", np.cross(n, nt), tau)
+        self.sina = np.einsum("egi,egi->eg", cross3(n, nt), tau)
 
 
 class RotationConstraint:
@@ -148,7 +149,7 @@ class RotationConstraint:
         if alpha0 is None:
             self.c0 = np.einsum("egi,egi->eg", self.eq_a.ref_normal, ref_nt)
             self.s0 = np.einsum("egi,egi->eg",
-                                np.cross(self.eq_a.ref_normal, ref_nt), tau0)
+                                cross3(self.eq_a.ref_normal, ref_nt), tau0)
         else:
             self.c0 = np.full((self.nel, self.ngp), np.cos(alpha0))
             self.s0 = np.full((self.nel, self.ngp), np.sin(alpha0))
@@ -262,18 +263,18 @@ class RotationConstraint:
     def _force_kernel(self, g: _EdgeGeometry, cc, ss):
         dNa = self.eq_a.dN
         dXi = dNa[..., self.eq_a.xi_dir]
-        nxnt = np.cross(g.n, g.nt)
+        nxnt = cross3(g.n, g.nt)
         theta = ss[..., None] * nxnt
         Mth = (theta - g.tau * np.einsum("egi,egi->eg", g.tau, theta)[..., None]
                ) / g.alen[..., None]
-        nut = -np.cross(g.tau, g.nt)
+        nut = -cross3(g.tau, g.nt)
         dt = cc[..., None] * g.nt + ss[..., None] * nut
         dta = np.einsum("egai,egi->ega", g.aup_a, dt)
         f_a = (np.einsum("eg,egna,ega,egi->eni", self.wS, dNa, dta, g.n)
                - np.einsum("eg,egn,egi->eni", self.wS, dXi, Mth))
         f_b = None
         if self.two_sided:
-            nu = np.cross(g.tau, g.n)
+            nu = cross3(g.tau, g.n)
             dd = cc[..., None] * g.n + ss[..., None] * nu
             dab = np.einsum("egbi,egi->egb", g.aup_b, dd)
             f_b = np.einsum("eg,egnb,egb,egi->eni", self.wS, self.eq_b.dN,
@@ -306,15 +307,15 @@ class RotationConstraint:
         w4 = wS[..., None, None]
         eye = np.eye(3)
 
-        nxnt = np.cross(n, nt)
+        nxnt = cross3(n, nt)
         theta = ss[..., None] * nxnt
-        nut = -np.cross(tau, nt)
+        nut = -cross3(tau, nt)
         dt = cc[..., None] * nt + ss[..., None] * nut
         dta = np.einsum("egai,egi->ega", g.aup_a, dt)
         dtn = np.einsum("egi,egi->eg", dt, n)
 
         # cross variation of tau with the edge normal, explicit s0 weight
-        w_nta = np.cross(nt[:, :, None, :], g.aup_a)
+        w_nta = cross3(nt[:, :, None, :], g.aup_a)
         proj = np.einsum("egai,egi->ega", w_nta, tau)
         vv = (w_nta - proj[..., None] * tau[:, :, None, :]) / alen[..., None, None]
         C = (_normal_kron(n, np.matmul(dNa, g.aup_a) * w4,
@@ -336,7 +337,7 @@ class RotationConstraint:
             return K_aa, None, None
 
         dNb = self.eq_b.dN
-        nu = np.cross(tau, n)
+        nu = cross3(tau, n)
         dd = cc[..., None] * n + ss[..., None] * nu
         dab = np.einsum("egbi,egi->egb", g.aup_b, dd)
         dnt = np.einsum("egi,egi->eg", dd, nt)
@@ -345,10 +346,10 @@ class RotationConstraint:
         K_bb = _metric_kron(dNb, g.acon_b * (wS * dnt)[..., None, None], nt,
                             dNb, nt) - Cb - Cb.swapaxes(1, 2)
 
-        w_nb = np.cross(n[:, :, None, :], g.aup_b)
+        w_nb = cross3(n[:, :, None, :], g.aup_b)
         projb = np.einsum("egbi,egi->egb", w_nb, tau)
         mnb = (w_nb - projb[..., None] * tau[:, :, None, :]) / alen[..., None, None]
-        ctb = np.cross(tau[:, :, None, :], g.aup_b)
+        ctb = cross3(tau[:, :, None, :], g.aup_b)
         ahat = (cc[..., None, None] * np.einsum("egai,egbi->egab", g.aup_a,
                                                 g.aup_b)
                 - ss[..., None, None] * np.einsum("egai,egbi->egab", g.aup_a,

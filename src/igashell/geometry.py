@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .nurbs import (
     BasisGrid,
@@ -248,12 +247,27 @@ class Mesh:
             return i
 
         # merging is by position alone; collapsed (degenerate) edges carry
-        # coincident points with different weights and must still share DOFs
-        tree = cKDTree(coords)
-        for i, j in tree.query_pairs(tol):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+        # coincident points with different weights and must still share DOFs.
+        # Pairs closer than tol are found by sorting the points along one
+        # axis and sweeping over ever farther neighbours in that order while
+        # some gap along the axis is within tol.  The axis is oblique, so
+        # that the rows of a grid do not share one sort key.
+        key = coords @ (np.array([1.0, np.sqrt(2.0), np.sqrt(3.0)])
+                        / np.sqrt(6.0))
+        order = np.argsort(key)
+        key, pts = key[order], coords[order]
+        near = np.arange(len(pts))
+        for k in range(1, len(pts)):
+            near = near[near < len(pts) - k]
+            near = near[key[near + k] - key[near] <= tol]
+            if near.size == 0:
+                break
+            close = near[np.linalg.norm(pts[near + k] - pts[near], axis=1)
+                         <= tol]
+            for i, j in zip(order[close], order[close + k]):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
         roots = np.array([find(i) for i in range(len(coords))])
         uniq, inv = np.unique(roots, return_inverse=True)
         self.n_nodes = len(uniq)

@@ -60,6 +60,22 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "done: 1 step(s)" in capsys.readouterr().out
 
 
+def test_run_history_says_how_each_step_converged(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_RUN))
+    doc["solver"] = {"linear": False, "n_steps": 2}
+    doc["outputs"] = {"fields": False}
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, doc), "--out",
+                 str(out), "--verbose"]) == 0
+    rows = (out / "history.csv").read_bytes().decode().strip().split("\r\n")
+    assert rows[0].split(",") == ["step", "lam", "iterations", "residual",
+                                  "reason"]
+    reasons = [row.split(",")[-1] for row in rows[1:]]
+    assert len(reasons) == 2 and set(reasons) <= {"tol", "trial", "floor"}
+    printed = capsys.readouterr().out
+    assert all(f", {reason})" in printed for reason in reasons)
+
+
 def test_run_nonlinear_failure_exits_3(tmp_path, capsys):
     doc = json.loads(json.dumps(TINY_RUN))
     doc["solver"] = {"linear": False, "n_steps": 1, "max_iter": 2,

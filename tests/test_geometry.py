@@ -17,6 +17,7 @@ from igashell.geometry import (
     refined,
     skew_patch,
 )
+from igashell import benchmarks
 from igashell.elements import gauss_01
 from igashell.nurbs import bernstein
 
@@ -210,6 +211,56 @@ def test_degenerate_pole_nodes_merge():
     mesh = Mesh([patch])
     ids = mesh.patch_node_ids[0].reshape(patch.n_v, patch.n_u)
     assert len(set(ids[0])) == 1, "pole row should merge to a single node"
+
+
+def brute_force_merge(mesh):
+    """Node coordinates and per-patch node ids of a pairwise merge: points
+    closer than the merge tolerance share a node, numbered by the smallest
+    point index of their cluster."""
+    coords = np.vstack([p.points for p in mesh.patches])
+    diag = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
+    tol = mesh.merge_tol_rel * (diag if diag > 0.0 else 1.0)
+    close = np.linalg.norm(coords[:, None] - coords[None], axis=-1) <= tol
+    label = np.arange(len(coords))
+    while True:
+        new = np.where(close, label[None, :], len(coords)).min(axis=1)
+        if np.array_equal(new, label):
+            break
+        label = new
+    uniq, inv = np.unique(label, return_inverse=True)
+    ends = np.cumsum([p.points.shape[0] for p in mesh.patches])[:-1]
+    return coords[uniq], np.split(inv, ends)
+
+
+def benchmark_meshes():
+    B = benchmarks
+    yield B.build_hemisphere_linear().mesh
+    yield B.build_plate_sinusoidal().mesh
+    yield B.build_cylinder_linear().mesh
+    for scheme in ("single", "double", "single_skew", "double_skew"):
+        yield B.build_bending_flat(8, scheme).mesh
+    for n in (1, 2, 4):
+        yield B.build_bending_folded(n, 2)[0].mesh
+    yield B.build_cantilever(0.2).mesh
+    yield B.build_hemisphere_hole().mesh
+    yield B.build_cylinder_pinch_nl()[0].mesh
+    yield B.build_cylinder_free_nl().mesh
+    # a collapsed edge: the pole row carries points of different weights
+    yield Mesh([make_sphere_panel(1.0, 0.0, 90.0, 0.0, 90.0, 2, 2, 2)])
+
+
+def test_node_merge_matches_pairwise_merge():
+    merged_weights_differ = False
+    for mesh in benchmark_meshes():
+        coords, ids = brute_force_merge(mesh)
+        assert np.array_equal(mesh.node_coords, coords)
+        for got, want in zip(mesh.patch_node_ids, ids):
+            assert np.array_equal(got, want)
+        weights = np.concatenate([p.weights for p in mesh.patches])
+        nodes = np.concatenate(mesh.patch_node_ids)
+        merged_weights_differ |= bool(np.any(
+            weights != mesh.node_weights[nodes]))
+    assert merged_weights_differ
 
 
 def test_patch_validation():

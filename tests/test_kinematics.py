@@ -4,6 +4,7 @@ import numpy as np
 
 from igashell.geometry import make_cylinder_panel, make_sphere_panel
 from igashell.kinematics import (
+    cross3,
     det22,
     inv22,
     layer_coefficients,
@@ -97,3 +98,16 @@ def test_inverse_helper():
     Minv = inv22(M)
     assert np.allclose(np.einsum("nab,nbc->nac", M, Minv),
                        np.broadcast_to(np.eye(2), (4, 2, 2)), atol=1e-12)
+
+
+def test_cross3_is_numpy_cross_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for shape_a, shape_b in (((3,), (3,)), ((32, 9, 3), (32, 9, 3)),
+                             ((4, 3, 1, 3), (4, 3, 2, 3)),
+                             ((4, 3, 2, 3), (4, 3, 1, 3)),
+                             ((5, 3), (3,))):
+        a = rng.standard_normal(shape_a) * 10.0 ** rng.integers(-8, 8)
+        b = rng.standard_normal(shape_b)
+        c = cross3(a, b)
+        assert c.shape == np.cross(a, b).shape
+        assert np.array_equal(c, np.cross(a, b))

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 import igashell.solver as solver_mod
-from igashell.benchmarks import build_bending_folded, build_hemisphere_hole
+from igashell.benchmarks import (FOLD, build_bending_folded,
+                                 build_hemisphere_hole)
 from igashell.constraints import Multiplier, Penalty, RotationConstraint
 from igashell.elements import internal_forces
 from igashell.geometry import Mesh, make_folded_strip, make_plate
@@ -110,6 +111,89 @@ def test_divergence_raises_after_cuts():
     model.add_point_force(0, 1.0, 0.2, [0.0, 0.0, 1.0])
     with pytest.raises(NonConvergenceError):
         solve(model, n_steps=1, max_cuts=1, max_iter=5)
+
+
+def test_hopeless_step_is_cut_after_its_failed_excursion(monkeypatch):
+    """The penalty strip's first step of 0.1 cannot converge; the attempt
+    fails as soon as its excursion does, without creeping on."""
+    model, _ = build_bending_folded(2, 2, ("penalty", 1e4))
+    counts = {"tangent": 0, "residual": 0}
+    assemble = Model.assemble
+
+    def counting_assemble(self, x, q, lam, tangent=True):
+        counts["tangent" if tangent else "residual"] += 1
+        return assemble(self, x, q, lam, tangent)
+
+    monkeypatch.setattr(Model, "assemble", counting_assemble)
+    with pytest.raises(NonConvergenceError):
+        solve(model, n_steps=10, max_cuts=0)
+    assert 0 < counts["tangent"] <= 8
+    assert counts["residual"] <= counts["tangent"]
+
+
+def test_tolerance_below_round_off_is_not_met_by_stagnation():
+    """A tolerance far below the round-off floor fails: neither the floor
+    exit nor update stagnation accepts a residual above 100 tol."""
+    _, model = cantilever_model()
+    with pytest.raises(NonConvergenceError):
+        solve(model, n_steps=1, tol_rel=1e-17, max_cuts=1)
+
+
+@pytest.fixture(scope="module")
+def penalty_strip_path():
+    model, _ = build_bending_folded(2, 2, ("penalty", 1e4))
+    return model, solve(model, n_steps=10)
+
+
+def test_every_step_says_how_it_converged(penalty_strip_path):
+    _, model = cantilever_model(load=2e-5)
+    hist = solve(model, n_steps=2, tol_rel=1e-10)
+    assert all(h.reason in ("tol", "trial") for h in hist)
+    model, hist = penalty_strip_path
+    reasons = {h.reason for h in hist}
+    assert reasons <= {"tol", "trial", "floor"} and "floor" in reasons
+    free = ~model._presc_mask
+    for h in hist:
+        if h.reason == "floor":
+            r, _, f_ext = model.assemble(h.x, h.q, h.lam, tangent=False)
+            assert np.linalg.norm(r[free]) == h.residual
+            assert h.residual <= solver_mod.FLOOR_FACTOR * 1e-8 * \
+                np.linalg.norm(f_ext[free])
+
+
+def reversed_penalty_strip(model):
+    """The penalty strip of ``build_bending_folded`` with its patch order
+    reversed, so nodes, elements and constraints are numbered and summed in
+    another order."""
+    (_, clamp_how), (_, how) = model.constraints[:2]
+    mesh = Mesh(model.mesh.patches[::-1])
+    last = len(mesh.patches) - 1
+    rev = Model(mesh, model.material)
+    rev.fix_edge(last, "u0", components=(0, 2))
+    rev.fix_nodes(mesh.edge_node_ids(last, "u0")[:1], components=(1,))
+    rev.add_constraint(RotationConstraint.fixed(mesh, last, "u0"), clamp_how)
+    for iface in mesh.detect_interfaces():
+        rev.add_constraint(RotationConstraint.from_interface(mesh, iface),
+                           how)
+    rev.add_edge_moment(0, "u1", -FOLD["M"])
+    return rev
+
+
+def test_reversed_patch_order_takes_the_same_load_path(penalty_strip_path):
+    """Round-off decides neither the load path nor how long a step takes:
+    the reversed strip accepts the same load factors, each within 1e-6 of
+    the same state and within 2 Newton iterations of the same count."""
+    model, hist = penalty_strip_path
+    rev = reversed_penalty_strip(model)
+    hist_rev = solve(rev, n_steps=10)
+    assert [h.lam for h in hist_rev] == [h.lam for h in hist]
+    ids = np.concatenate(model.mesh.patch_node_ids)
+    ids_rev = np.concatenate(rev.mesh.patch_node_ids[::-1])
+    X = model.mesh.node_coords[ids]
+    for h, h_rev in zip(hist, hist_rev):
+        u, u_rev = h.x[ids] - X, h_rev.x[ids_rev] - X
+        assert np.linalg.norm(u_rev - u) <= 1e-6 * np.linalg.norm(u)
+        assert abs(h_rev.iterations - h.iterations) <= 2
 
 
 # -- stacked assembly -------------------------------------------------------
