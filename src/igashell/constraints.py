@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (EdgeQuadrature, _gauss_sum, _kron_rows,
-                       _metric_kron, _normal_kron, gauss_01)
-from .kinematics import cross3
+                       _metric_kron, _normal_kron, _point_sum, _surface_sum,
+                       gauss_01)
+from .kinematics import cross3, dot3
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ class _EdgeGeometry:
         self.acon_a = acon_a
         self.aup_b = aup_b
         self.acon_b = acon_b
-        self.cosa = np.einsum("egi,egi->eg", n, nt)
-        self.sina = np.einsum("egi,egi->eg", cross3(n, nt), tau)
+        self.cosa = dot3(n, nt)
+        self.sina = dot3(cross3(n, nt), tau)
 
 
 class RotationConstraint:
@@ -147,9 +148,9 @@ class RotationConstraint:
             raise ValueError("degenerate edge tangent along constrained edge")
         tau0 = self.eq_a.ref_tangent_vec / self.eq_a.jac_edge0[..., None]
         if alpha0 is None:
-            self.c0 = np.einsum("egi,egi->eg", self.eq_a.ref_normal, ref_nt)
-            self.s0 = np.einsum("egi,egi->eg",
-                                cross3(self.eq_a.ref_normal, ref_nt), tau0)
+            # the forms of _EdgeGeometry, so x = X is at rest bit for bit
+            self.c0 = dot3(self.eq_a.ref_normal, ref_nt)
+            self.s0 = dot3(cross3(self.eq_a.ref_normal, ref_nt), tau0)
         else:
             self.c0 = np.full((self.nel, self.ngp), np.cos(alpha0))
             self.s0 = np.full((self.nel, self.ngp), np.sin(alpha0))
@@ -252,8 +253,7 @@ class RotationConstraint:
         sind = g.sina * self.c0 - g.cosa * self.s0
         if isinstance(method, Penalty):
             return method.epsilon * sind / stretch
-        Nq, qconn, _ = self._q_tables(method.interp)
-        qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
+        qg = self._q_field(q, method.interp)
         return -qg * (cosd + sind) / stretch
 
     # ------------------------------------------------------------------
@@ -265,20 +265,20 @@ class RotationConstraint:
         dXi = dNa[..., self.eq_a.xi_dir]
         nxnt = cross3(g.n, g.nt)
         theta = ss[..., None] * nxnt
-        Mth = (theta - g.tau * np.einsum("egi,egi->eg", g.tau, theta)[..., None]
-               ) / g.alen[..., None]
+        Mth = (theta - g.tau * dot3(g.tau, theta)[..., None]) / g.alen[..., None]
         nut = -cross3(g.tau, g.nt)
         dt = cc[..., None] * g.nt + ss[..., None] * nut
-        dta = np.einsum("egai,egi->ega", g.aup_a, dt)
-        f_a = (np.einsum("eg,egna,ega,egi->eni", self.wS, dNa, dta, g.n)
-               - np.einsum("eg,egn,egi->eni", self.wS, dXi, Mth))
+        dta = dot3(g.aup_a, dt[:, :, None, :])
+        # f_a[n, i] = sum_g wS ((dN dta)[n] n_i - dXi[n] Mth_i): one matmul
+        # with the Gauss sum inner per term
+        f_a = (_point_sum(_surface_sum(dNa, dta), g.n, self.wS)
+               - _point_sum(dXi, Mth, self.wS))
         f_b = None
         if self.two_sided:
             nu = cross3(g.tau, g.n)
             dd = cc[..., None] * g.n + ss[..., None] * nu
-            dab = np.einsum("egbi,egi->egb", g.aup_b, dd)
-            f_b = np.einsum("eg,egnb,egb,egi->eni", self.wS, self.eq_b.dN,
-                            dab, g.nt)
+            dab = dot3(g.aup_b, dd[:, :, None, :])
+            f_b = _point_sum(_surface_sum(self.eq_b.dN, dab), g.nt, self.wS)
         na = f_a.shape[1]
         return f_a.reshape(self.nel, 3 * na), (
             None if f_b is None else f_b.reshape(self.nel, -1))
@@ -311,25 +311,25 @@ class RotationConstraint:
         theta = ss[..., None] * nxnt
         nut = -cross3(tau, nt)
         dt = cc[..., None] * nt + ss[..., None] * nut
-        dta = np.einsum("egai,egi->ega", g.aup_a, dt)
-        dtn = np.einsum("egi,egi->eg", dt, n)
+        dta = dot3(g.aup_a, dt[:, :, None, :])
+        dtn = dot3(dt, n)
 
         # cross variation of tau with the edge normal, explicit s0 weight
         w_nta = cross3(nt[:, :, None, :], g.aup_a)
-        proj = np.einsum("egai,egi->ega", w_nta, tau)
+        proj = dot3(w_nta, tau[:, :, None, :])
         vv = (w_nta - proj[..., None] * tau[:, :, None, :]) / alen[..., None, None]
         C = (_normal_kron(n, np.matmul(dNa, g.aup_a) * w4,
-                          np.einsum("egna,ega->egn", dNa, dta))
+                          _surface_sum(dNa, dta))
              + _normal_kron(n, np.matmul(dNa, vv) * (wS * ss)[..., None, None],
                             dXi))
         K_aa = _metric_kron(dNa, g.acon_a * (wS * dtn)[..., None, None], n,
                             dNa, n) - C - C.swapaxes(1, 2)
 
-        tth = np.einsum("egi,egi->eg", tau, theta)
-        Qxx = (tth[..., None, None] * (eye - 3.0 * np.einsum(
-            "egi,egj->egij", tau, tau))
-            + np.einsum("egi,egj->egij", theta, tau)
-            + np.einsum("egi,egj->egij", tau, theta)) / (alen ** 2)[..., None, None]
+        tth = dot3(tau, theta)
+        tau_i, tau_j = tau[..., :, None], tau[..., None, :]
+        Qxx = (tth[..., None, None] * (eye - 3.0 * (tau_i * tau_j))
+               + theta[..., :, None] * tau_j
+               + tau_i * theta[..., None, :]) / (alen ** 2)[..., None, None]
         K_aa += _gauss_sum(_kron_rows(dXi[:, :, None, :], eye),
                            _kron_rows((wS[..., None] * dXi)[:, :, None, :],
                                       Qxx))
@@ -339,21 +339,21 @@ class RotationConstraint:
         dNb = self.eq_b.dN
         nu = cross3(tau, n)
         dd = cc[..., None] * n + ss[..., None] * nu
-        dab = np.einsum("egbi,egi->egb", g.aup_b, dd)
-        dnt = np.einsum("egi,egi->eg", dd, nt)
+        dab = dot3(g.aup_b, dd[:, :, None, :])
+        dnt = dot3(dd, nt)
         Cb = _normal_kron(nt, np.matmul(dNb, g.aup_b) * w4,
-                          np.einsum("egnb,egb->egn", dNb, dab))
+                          _surface_sum(dNb, dab))
         K_bb = _metric_kron(dNb, g.acon_b * (wS * dnt)[..., None, None], nt,
                             dNb, nt) - Cb - Cb.swapaxes(1, 2)
 
         w_nb = cross3(n[:, :, None, :], g.aup_b)
-        projb = np.einsum("egbi,egi->egb", w_nb, tau)
+        projb = dot3(w_nb, tau[:, :, None, :])
         mnb = (w_nb - projb[..., None] * tau[:, :, None, :]) / alen[..., None, None]
         ctb = cross3(tau[:, :, None, :], g.aup_b)
-        ahat = (cc[..., None, None] * np.einsum("egai,egbi->egab", g.aup_a,
-                                                g.aup_b)
-                - ss[..., None, None] * np.einsum("egai,egbi->egab", g.aup_a,
-                                                  ctb))
+        ahat = (cc[..., None, None] * np.matmul(g.aup_a,
+                                                g.aup_b.swapaxes(-1, -2))
+                - ss[..., None, None] * np.matmul(g.aup_a,
+                                                  ctb.swapaxes(-1, -2)))
         K_ab = (_gauss_sum(
             _kron_rows(((wS * ss)[..., None] * dXi)[:, :, None, :], mnb),
             _kron_rows(dNb.swapaxes(-1, -2), nt[:, :, None, :]))
@@ -390,6 +390,11 @@ class RotationConstraint:
         Nq, qconn = self._q[interp]
         return Nq, qconn, Nq.shape[1]
 
+    def _q_field(self, q, interp: str):
+        """Multiplier field at the edge Gauss points, (nel, ngp)."""
+        Nq, qconn = self._q[interp]
+        return np.matmul(np.asarray(q)[qconn], Nq.T)
+
     def _g_field(self, g: _EdgeGeometry):
         cosd = g.cosa * self.c0 + g.sina * self.s0
         sind = g.sina * self.c0 - g.cosa * self.s0
@@ -397,28 +402,26 @@ class RotationConstraint:
 
     def lm_energy(self, x_nodes, q, method: Multiplier) -> float:
         g = self._geometry(x_nodes)
-        Nq, qconn, _ = self._q_tables(method.interp)
-        qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
+        qg = self._q_field(q, method.interp)
         return float(np.sum(self.wS * qg * self._g_field(g)))
 
     def _lm_force(self, g: _EdgeGeometry, qg, Nq):
         f_a, f_b = self._force_kernel(g, qg * (self.s0 + self.c0),
                                       qg * (self.s0 - self.c0))
-        f_q = np.einsum("eg,gq->eq", self.wS * self._g_field(g), Nq)
+        f_q = np.matmul(self.wS * self._g_field(g), Nq)
         return f_a, f_b, f_q
 
     def lm_force(self, x_nodes, q, method: Multiplier):
         g = self._geometry(x_nodes)
-        Nq, qconn, _ = self._q_tables(method.interp)
-        qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
-        return self._lm_force(g, qg, Nq)
+        qg = self._q_field(q, method.interp)
+        return self._lm_force(g, qg, self._q[method.interp][0])
 
     def lm_tangent(self, x_nodes, q, method: Multiplier):
         """((f_a, f_b, f_q), (K_aa, K_bb, K_ab, K_aq, K_bq)) from one
         geometry evaluation."""
         g = self._geometry(x_nodes)
-        Nq, qconn, nql = self._q_tables(method.interp)
-        qg = np.einsum("gq,eq->eg", Nq, np.asarray(q)[qconn])
+        Nq, _, nql = self._q_tables(method.interp)
+        qg = self._q_field(q, method.interp)
         K_aa, K_bb, K_ab = self._tangent_kernel(g, qg * (self.s0 + self.c0),
                                                 qg * (self.s0 - self.c0))
         K_aq = np.empty((self.nel, K_aa.shape[1], nql))

@@ -42,6 +42,31 @@ def gauss_01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _at_points(T, xe):
+    """sum_n T[e, g, n, k] xe[e, n, i] for a basis table T (nel, ngp, nloc,
+    k) and element node rows xe (nel, nloc, 3): (nel, ngp, k, 3).
+
+    One matmul per element with the node axis inner, T laid out as (nel,
+    ngp k, nloc).  The reference geometry and every current configuration
+    go through here, so x = X reproduces the reference state bit for bit.
+    """
+    nel, ngp, nloc, k = T.shape
+    return np.matmul(T.swapaxes(-1, -2).reshape(nel, ngp * k, nloc),
+                     xe).reshape(nel, ngp, k, -1)
+
+
+def _surface_sum(dN, v):
+    """sum_a dN[e, g, n, a] v[e, g, a]: (nel, ngp, nloc), one (nloc x 2)
+    (2 x 1) matmul per point."""
+    return np.matmul(dN, v[..., None])[..., 0]
+
+
+def _point_sum(u, v, w):
+    """sum_g w[e, g] u[e, g, n] v[e, g, i]: (nel, nloc, 3), one matmul per
+    element with the Gauss point axis inner."""
+    return np.matmul((w[..., None] * u).swapaxes(1, 2), v)
+
+
 class _Tables:
     """Basis tables at quadrature points, stacked over elements.
 
@@ -86,10 +111,10 @@ class _Tables:
         """Current metric state, normal, tangents a_a, raised tangents a^a
         and second derivatives h of the map at every quadrature point."""
         xe = x_nodes[self.conn]                             # (nel, nloc, 3)
-        a_vec = np.einsum("egna,eni->egai", self.dN, xe)
-        h_vec = np.einsum("egnr,eni->egri", self.d2N, xe)
+        a_vec = _at_points(self.dN, xe)
+        h_vec = _at_points(self.d2N, xe)
         state, normal = surface_vectors_state(a_vec, h_vec)
-        a_up = np.einsum("egab,egbi->egai", state.a_con, a_vec)
+        a_up = np.matmul(state.a_con, a_vec)
         return state, normal, a_vec, a_up, h_vec
 
 
@@ -120,15 +145,15 @@ class PatchQuadrature(_Tables):
         # reference geometry at the quadrature points
         Xe = patch.points[self.local_ids]                   # (nel, nloc, 3)
         self.X = np.einsum("egn,eni->egi", self.N, Xe)
-        A_vec = np.einsum("egna,eni->egai", self.dN, Xe)
-        H_vec = np.einsum("egnr,eni->egri", self.d2N, Xe)
+        A_vec = _at_points(self.dN, Xe)
+        H_vec = _at_points(self.d2N, Xe)
         self.ref_state, self.ref_normal = surface_vectors_state(A_vec, H_vec)
         self.jacA = self.ref_state.jac                      # (nel, ngp)
 
     def current(self, x_nodes: np.ndarray):
         """Current metric states plus the vectors needed by the B operators."""
         state, normal, a_vec, a_up, h_vec = self._current(x_nodes)
-        gamma = np.einsum("egci,egri->egcr", a_up, h_vec)   # (nel,ngp,2,3ord)
+        gamma = np.matmul(a_up, h_vec.swapaxes(-1, -2))     # (nel,ngp,2,3ord)
         return state, normal, a_vec, a_up, h_vec, gamma
 
 
@@ -140,7 +165,7 @@ def _b_operators(pq, state, normal, a_vec, a_up, gamma):
     nel, ngp, nloc = pq.nel, pq.ngp, pq.nloc
     dN, d2N = pq.dN, pq.d2N
     # covariant second derivatives of the basis (Christoffel corrected)
-    Nt = d2N - np.einsum("egcr,egnc->egnr", gamma, dN)
+    Nt = d2N - np.matmul(dN, gamma)
     B = np.empty((nel, ngp, 6, nloc, 3))
     B[:, :, 0] = 2.0 * dN[..., 0, None] * a_vec[:, :, None, 0, :]
     B[:, :, 1] = 2.0 * dN[..., 1, None] * a_vec[:, :, None, 1, :]
@@ -232,7 +257,9 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     sv = material.stress_voigt(ref, state)                 # (nel, ngp, 6)
     B, Nt = _b_operators(pq, state, normal, a_vec, a_up, gamma)
     half = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
-    f_el = np.einsum("egkd,egk->ed", B, sv * half * w[..., None])
+    # the force vector sums over (g, the 6 strain rows) as one matmul
+    f_el = np.matmul((sv * half * w[..., None]).reshape(nel, 1, -1),
+                     B.reshape(nel, ngp * 6, -1))[:, 0]
     if not tangent:
         return f_el, None
 
@@ -299,7 +326,7 @@ def follower_pressure(pq: PatchQuadrature, p: float, x_nodes, tangent=True):
     """Pressure acting along the current normal on the current area."""
     state, normal, a_vec, a_up, _, _ = pq.current(x_nodes)
     w = pq.wq * state.jac                                  # current measure
-    f_el = p * np.einsum("egn,egi->eni", pq.N, normal * w[..., None])
+    f_el = p * _point_sum(pq.N, normal, w)
     f_el = f_el.reshape(pq.nel, -1)
     if not tangent:
         return f_el, None
@@ -367,8 +394,8 @@ class EdgeQuadrature(_Tables):
                      ).reshape(self.nel, 3 * self.nloc)
         Xe = patch.points[self.local_ids]
         self.X = np.einsum("egn,eni->egi", self.N, Xe)
-        A_vec = np.einsum("egna,eni->egai", self.dN, Xe)
-        H_vec = np.einsum("egnr,eni->egri", self.d2N, Xe)
+        A_vec = _at_points(self.dN, Xe)
+        H_vec = _at_points(self.d2N, Xe)
         self.ref_state, self.ref_normal = surface_vectors_state(A_vec, H_vec)
         self.ref_tangent_vec = A_vec[:, :, self.xi_dir, :]
         self.jac_edge0 = np.linalg.norm(self.ref_tangent_vec, axis=-1)
@@ -403,17 +430,17 @@ def follower_edge_moment(eq: EdgeQuadrature, m: float, x_nodes, tangent=True):
     """
     state, normal, a_vec, a_up = eq.current(x_nodes)
     eps_col = _EPS2[:, eq.xi_dir]                           # eps[d, xi]
-    P = np.einsum("egcd,d->egc", state.a_con, eps_col)
-    q = np.einsum("egnc,egc->egn", eq.dN, P)
+    P = np.matmul(state.a_con, eps_col)
+    q = _surface_sum(eq.dN, P)                              # (nel, ngp, nloc)
     w = eq.wq * state.jac
-    f_el = -m * np.einsum("egn,egi->eni", q * w[..., None], normal)
+    f_el = -m * _point_sum(q, normal, w)
     f_el = f_el.reshape(eq.nel, -1)
     if not tangent:
         return f_el, None
     # K / (-m w) = q[n] n_i u[m, j] - (dN a^{ab} dN^T)[n, m] n_i Pa_j
     #              - n_i u[n, j] q[m] - (its transpose)
     u = np.matmul(eq.dN, a_up)                              # (nel, ngp, nloc, 3)
-    Pa = np.einsum("egc,egci->egi", P, a_vec)
+    Pa = np.matmul(P[..., None, :], a_vec)[..., 0, :]
     qw = (q * w[..., None])[:, :, None, :]
     K3 = _normal_kron(normal, u * w[..., None, None], q)
     K_el = (-m) * (_gauss_sum(_kron_rows(qw, normal[:, :, None, :]),

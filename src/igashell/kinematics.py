@@ -16,6 +16,8 @@ __all__ = [
     "MetricState",
     "metric_state",
     "cross3",
+    "dot3",
+    "ddot22",
     "surface_vectors_state",
     "det22",
     "inv22",
@@ -40,6 +42,17 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a0 * b1 - a1 * b0], axis=-1)
 
 
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis of length 3, componentwise."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def ddot22(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A : B of (..., 2, 2) tensors: one (1 x 4)(4 x 1) matmul per point."""
+    return np.matmul(A.reshape(A.shape[:-2] + (1, 4)),
+                     B.reshape(B.shape[:-2] + (4, 1)))[..., 0, 0]
+
+
 def det22(M: np.ndarray) -> np.ndarray:
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
@@ -56,7 +69,7 @@ def inv22(M: np.ndarray) -> np.ndarray:
 
 def raise2(a_con: np.ndarray, M_cov: np.ndarray) -> np.ndarray:
     """Raise both indices of a covariant tensor with the given inverse metric."""
-    return np.einsum("...ac,...cd,...db->...ab", a_con, M_cov, a_con)
+    return np.matmul(np.matmul(a_con, M_cov), a_con)
 
 
 def to_voigt(M: np.ndarray, shear_factor: float = 1.0) -> np.ndarray:
@@ -88,13 +101,13 @@ def tens4_to_voigt(T: np.ndarray) -> np.ndarray:
 
 def outer4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A^{ab} B^{cd}."""
-    return np.einsum("...ab,...cd->...abcd", A, B)
+    return A[..., :, :, None, None] * B[..., None, None, :, :]
 
 
 def sym4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """1/2 (A^{ac} B^{bd} + A^{ad} B^{bc})."""
-    return 0.5 * (np.einsum("...ac,...bd->...abcd", A, B)
-                  + np.einsum("...ad,...bc->...abcd", A, B))
+    return 0.5 * (A[..., :, None, :, None] * B[..., None, :, None, :]
+                  + A[..., :, None, None, :] * B[..., None, :, :, None])
 
 
 @dataclass
@@ -124,7 +137,7 @@ def metric_state(a_cov: np.ndarray, b_cov: np.ndarray) -> MetricState:
         raise ValueError("degenerate surface metric (det <= 0)")
     a_con = inv22(a_cov)
     b_con = raise2(a_con, b_cov)
-    H = 0.5 * np.einsum("...ab,...ab->...", a_con, b_cov)
+    H = 0.5 * ddot22(a_con, b_cov)
     kappa = det22(b_cov) / det_a
     return MetricState(a_cov, b_cov, a_con, det_a, np.sqrt(det_a), b_con, H, kappa)
 
@@ -137,11 +150,14 @@ def surface_vectors_state(a_vec: np.ndarray, h_vec: np.ndarray):
 
     Returns (state, normal) where normal is (..., 3).
     """
-    a_cov = np.einsum("...ai,...bi->...ab", a_vec, a_vec)
-    cr = cross3(a_vec[..., 0, :], a_vec[..., 1, :])
-    nrm = np.linalg.norm(cr, axis=-1)
-    normal = cr / nrm[..., None]
-    b_flat = np.einsum("...ki,...i->...k", h_vec, normal)  # (11, 22, 12)
+    a1, a2 = a_vec[..., 0, :], a_vec[..., 1, :]
+    a_cov = np.empty(a_vec.shape[:-2] + (2, 2))
+    a_cov[..., 0, 0] = dot3(a1, a1)
+    a_cov[..., 1, 1] = dot3(a2, a2)
+    a_cov[..., 0, 1] = a_cov[..., 1, 0] = dot3(a1, a2)
+    cr = cross3(a1, a2)
+    normal = cr / np.sqrt(dot3(cr, cr))[..., None]
+    b_flat = dot3(h_vec, normal[..., None, :])          # (11, 22, 12)
     b_cov = from_voigt(b_flat)
     return metric_state(a_cov, b_cov), normal
 

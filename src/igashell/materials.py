@@ -24,11 +24,13 @@ import numpy as np
 
 from .kinematics import (
     MetricState,
+    ddot22,
     det22,
     layer_coefficients,
     layer_metric,
     metric_state,
     outer4,
+    raise2,
     sym4,
     tens4_to_voigt,
 )
@@ -118,10 +120,10 @@ class KoiterMaterial(ShellMaterial):
     def stress(self, ref, cur):
         E, K = self._strains(ref, cur)
         A = ref.a_con
-        trE = np.einsum("...ab,...ab->...", A, E)
-        trK = np.einsum("...ab,...ab->...", A, K)
-        E_up = np.einsum("...ac,...cd,...db->...ab", A, E, A)
-        K_up = np.einsum("...ac,...cd,...db->...ab", A, K, A)
+        trE = ddot22(A, E)
+        trK = ddot22(A, K)
+        E_up = raise2(A, E)
+        K_up = raise2(A, K)
         tau = self.lam * trE[..., None, None] * A + 2.0 * self.mu * E_up
         bend = self.thickness ** 2 / 12.0
         M0 = bend * (self.lam * trK[..., None, None] * A + 2.0 * self.mu * K_up)
@@ -136,8 +138,7 @@ class KoiterMaterial(ShellMaterial):
     def energy(self, ref, cur):
         E, K = self._strains(ref, cur)
         tau, M0 = self.stress(ref, cur)
-        return 0.5 * (np.einsum("...ab,...ab->...", tau, E)
-                      + np.einsum("...ab,...ab->...", M0, K))
+        return 0.5 * (ddot22(tau, E) + ddot22(M0, K))
 
 
 class CanhamMaterial(ShellMaterial):
@@ -151,7 +152,7 @@ class CanhamMaterial(ShellMaterial):
 
     def _invariants(self, ref, cur):
         J = cur.jac / ref.jac
-        I1 = np.einsum("...ab,...ab->...", ref.a_con, cur.a_cov)
+        I1 = ddot22(ref.a_con, cur.a_cov)
         return J, I1
 
     def stress(self, ref, cur):
@@ -230,7 +231,7 @@ class MixedMaterial(ShellMaterial):
         K = cur.b_cov - ref.b_cov
         _, M0 = self._bending.stress(ref, cur)
         return (self._membrane.energy(ref, cur)
-                + 0.5 * np.einsum("...ab,...ab->...", M0, K))
+                + 0.5 * ddot22(M0, K))
 
 
 def _gauss_legendre(n: int, half_width: float):
@@ -238,8 +239,17 @@ def _gauss_legendre(n: int, half_width: float):
     return x * half_width, w * half_width
 
 
-_I4 = 0.5 * (np.einsum("ec,hd->ehcd", np.eye(2), np.eye(2))
-             + np.einsum("ed,hc->ehcd", np.eye(2), np.eye(2)))
+_I4 = sym4(np.eye(2), np.eye(2))
+
+
+def _ddot4(A, B):
+    """sum_{eh} A[..., e, h] B[..., e, h, c, d] for A (..., 2, 2) or
+    (..., 2, 2, 2, 2) and B (..., 2, 2, 2, 2) of one leading shape: the pair
+    (e, h) is the inner dimension of one matmul per point."""
+    lead = B.shape[:-4]
+    rows = A.shape[len(lead):-2]
+    return np.matmul(A.reshape(lead + (-1, 4)), B.reshape(lead + (4, 4))
+                     ).reshape(lead + rows + (2, 2))
 
 
 class ProjectedNeoHooke(ShellMaterial):
@@ -293,7 +303,7 @@ class ProjectedNeoHooke(ShellMaterial):
         return np.sqrt((self.lam + 2.0 * self.mu) / (self.lam * Js ** 2 + 2.0 * self.mu))
 
     def _layer_energy(self, G_con, g_cov, Js):
-        I1s = np.einsum("...ab,...ab->...", g_cov, G_con)
+        I1s = ddot22(g_cov, G_con)
         lam3 = self.lambda3(Js)
         if self.incompressible:
             # J~ = Js * lam3 = 1 exactly, pressure term drops
@@ -345,10 +355,8 @@ class ProjectedNeoHooke(ShellMaterial):
                   - xi ** 2 * outer4(a_cov, bt_con)
                   + xi ** 2 * outer4(b_cov, a_con))
             g4 = -sym4(g_con, g_con)
-            gDa = np.einsum("...eh,...ehcd->...cd", g_con, Da)
-            gDb = np.einsum("...eh,...ehcd->...cd", g_con, Db)
-            g4Da = np.einsum("...abeh,...ehcd->...abcd", g4, Da)
-            g4Db = np.einsum("...abeh,...ehcd->...abcd", g4, Db)
+            gDa, gDb = _ddot4(g_con, Da), _ddot4(g_con, Db)
+            g4Da, g4Db = _ddot4(g4, Da), _ddot4(g4, Db)
             Jfp = (Js * fp)[..., None, None, None, None]
             fn = f[..., None, None, None, None]
             ct = Jfp * outer4(g_con, gDa) + 2.0 * fn * g4Da

@@ -6,25 +6,30 @@ paths reuse production parameters and compare against the bundled
 regression fixtures in benchmarks/fixtures_nonlinear.json.
 """
 
+import copy
 import json
 import os
 import time
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from igashell.benchmarks import (CYL, FOLD, bending_flat_l2,
-                                 bending_folded_solve, cantilever_curve,
+                                 bending_folded_solve, build_hemisphere_hole,
+                                 cantilever_curve,
                                  cylinder_linear_deflection,
                                  hemisphere_linear_deflection,
                                  plate_center_deflection,
                                  run_nonlinear_checkpoints)
 from igashell.constraints import Multiplier, RotationConstraint
+from igashell.elements import PatchQuadrature
 from igashell.geometry import make_folded_strip
+from igashell.kinematics import MetricState
 from igashell.materials import KoiterMaterial
 from igashell.reference import FluggeCylinder, navier_plate_center_deflection
-from igashell.solver import Model
+from igashell.solver import Model, displacement_at, solve
 from igashell.verify import material_models, verify_global_tangent, \
     verify_material
 
@@ -243,12 +248,19 @@ def test_criterion_09_constraint_moment_transmission():
 
 # -- 10 --------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _checkpoint_rows():
+    with open(FIXTURES) as fh:
+        rows, _ = run_nonlinear_checkpoints(json.load(fh)["params"])
+    return rows
+
+
 def test_criterion_10_nonlinear_checkpoints():
     """The three large-deformation cases traverse their full load paths and
     land within 5% of the bundled regression fixtures."""
+    rows = _checkpoint_rows()
     with open(FIXTURES) as fh:
         fx = json.load(fh)
-    rows, _ = run_nonlinear_checkpoints(fx["params"])
     by_case = {}
     for r in rows:
         by_case.setdefault(r["case"], []).append(r)
@@ -277,3 +289,36 @@ def test_criterion_10_nonlinear_checkpoints():
                    "full paths done; checkpoint deviations "
                    + ", ".join(f"{k} {v:.1e}" for k, v in devs.items())
                    + " (tol 5e-2)"), got
+
+
+def reversed_elements(pq):
+    """The table with its elements in reverse order, so every assembly sums
+    their contributions in another order."""
+    rev = copy.copy(pq)
+    for name in PatchQuadrature.STACKED:
+        v = getattr(pq, name)
+        setattr(rev, name, MetricState(*(
+            np.ascontiguousarray(getattr(v, f.name)[::-1])
+            for f in fields(MetricState))) if isinstance(v, MetricState)
+            else np.ascontiguousarray(v[::-1]))
+    return rev
+
+
+def test_hemisphere_hole_reversed_elements_takes_the_same_load_path():
+    """Criterion 10's hemisphere (W2) with its elements reversed accepts the
+    same load factors, each checkpoint within 1e-6 relative and each step
+    within 2 Newton iterations of the forward path."""
+    fwd = [r for r in _checkpoint_rows()
+           if r["case"] == "hemisphere_hole_nonlinear"]
+    with open(FIXTURES) as fh:
+        p = json.load(fh)["params"]["hole"]
+    model = build_hemisphere_hole(p["degree"], p["n"])
+    model.quads = [reversed_elements(pq) for pq in model.quads]
+    hist = solve(model, n_steps=p["n_steps"])
+    assert [400.0 * h.lam for h in hist] == [r["load"] for r in fwd]
+    for h, r in zip(hist, fwd):
+        dA = displacement_at(model.mesh, h.x, 0, 0.0, 90.0)
+        dB = displacement_at(model.mesh, h.x, 0, 90.0, 90.0)
+        assert abs(-dA[0] - r["inward_A"]) <= 1e-6 * abs(r["inward_A"])
+        assert abs(dB[1] - r["outward_B"]) <= 1e-6 * abs(r["outward_B"])
+        assert abs(h.iterations - r["iterations"]) <= 2

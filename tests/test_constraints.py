@@ -129,6 +129,25 @@ def extra_gauss_cases():
     return out
 
 
+@pytest.mark.parametrize("name,mesh,con", extra_gauss_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_edge_contractions_match_einsum(name, mesh, con):
+    """The componentwise angle and matmul multiplier fields equal their
+    einsum definitions, with p + 2 edge Gauss points."""
+    x = perturbed(mesh)
+    g = con._geometry(x)
+    sin_ref = np.einsum("egi,egi->eg", np.cross(g.n, g.nt), g.tau)
+    assert np.abs(g.cosa - np.einsum("egi,egi->eg", g.n, g.nt)).max() <= 1e-14
+    assert np.abs(g.sina - sin_ref).max() <= 1e-14
+    q = np.random.default_rng(5).standard_normal(con.nel + 1)
+    for interp in ("n2q0", "n2q1c"):
+        Nq, qconn, _ = con._q_tables(interp)
+        qi = q[:con.n_multipliers(Multiplier(interp))]
+        ref = np.einsum("gq,eq->eg", Nq, qi[qconn])
+        err = np.abs(con._q_field(qi, interp) - ref).max() / np.abs(ref).max()
+        assert err <= 1e-14, f"{interp} multiplier field differs by {err:.2e}"
+
+
 @pytest.mark.parametrize("name,mesh,con", ALL_CASES, ids=lambda c: c if isinstance(c, str) else "")
 def test_rest_state_carries_no_constraint_force(name, mesh, con):
     method = Penalty(3.0)

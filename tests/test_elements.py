@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from igashell.elements import (
+    _EPS2,
     EdgeQuadrature,
     PatchQuadrature,
+    _at_points,
+    _b_operators,
     _metric_kron,
     _normal_kron,
+    _point_sum,
+    _surface_sum,
     dead_area_load,
     dead_edge_traction,
     follower_edge_moment,
@@ -20,7 +25,10 @@ from igashell.elements import (
 )
 from igashell.geometry import (Mesh, make_cylinder_panel, make_folded_strip,
                                make_plate, make_sphere_panel)
-from igashell.materials import CanhamMaterial, KoiterMaterial, ProjectedNeoHooke
+from igashell.kinematics import (ddot22, dot3, from_voigt, outer4, raise2,
+                                 sym4)
+from igashell.materials import (CanhamMaterial, KoiterMaterial,
+                                ProjectedNeoHooke, _ddot4)
 from oracles import fd_gradient, fd_jacobian
 
 
@@ -145,6 +153,103 @@ def test_kernel_contractions_match_einsum():
              np.einsum("egi,egnj,egm->enimj", x, X, v))):
         err = np.abs(K - ref.reshape(K.shape)).max() / np.abs(ref).max()
         assert err < 1e-14, f"contraction differs from einsum: {err:.2e}"
+
+
+def assert_contractions(pairs):
+    """Each (name, new form, einsum definition) agrees to 1e-14 relative."""
+    for name, new, ref in pairs:
+        assert new.shape == ref.shape, name
+        err = np.abs(new - ref).max() / np.abs(ref).max()
+        assert err <= 1e-14, f"{name} differs from its einsum by {err:.2e}"
+
+
+def contraction_tables():
+    """A patch table and an edge table of the curved strip with p + 2 Gauss
+    points, so ngp != nloc, at a perturbed state."""
+    mesh = strip_mesh()
+    patch, ids = mesh.patches[1], mesh.patch_node_ids[1]
+    ng = patch.degree_u + 2
+    pq = PatchQuadrature(patch, ids, n_gauss=(ng, patch.degree_v + 2))
+    eq = EdgeQuadrature(patch, ids, "u1", n_gauss=ng)
+    assert pq.ngp != pq.nloc and eq.ngp != eq.nloc
+    return pq, eq, perturbed(mesh, 0.02, seed=9)
+
+
+@pytest.mark.parametrize("which", ["patch", "edge"])
+def test_point_contractions_match_einsum(which):
+    """The matmul and componentwise forms of the kinematics, element,
+    material and constraint kernels equal their einsum definitions."""
+    pq, eq, x = contraction_tables()
+    q = pq if which == "patch" else eq
+    xe = x[q.conn]
+    a_vec, h_vec = _at_points(q.dN, xe), _at_points(q.d2N, xe)
+    state, normal, _, a_up, _ = q._current(x)
+    A, b = state.a_con, state.b_cov
+    cr = np.cross(a_vec[..., 0, :], a_vec[..., 1, :])
+    rng = np.random.default_rng(4)
+    g4 = rng.standard_normal(A.shape + (2, 2))
+    Da = rng.standard_normal(A.shape + (2, 2))
+    w = q.wq * state.jac
+    pairs = [
+        ("a_vec", a_vec, np.einsum("egna,eni->egai", q.dN, xe)),
+        ("h_vec", h_vec, np.einsum("egnr,eni->egri", q.d2N, xe)),
+        ("a_cov", state.a_cov, np.einsum("...ai,...bi->...ab", a_vec, a_vec)),
+        ("normal", normal, cr / np.linalg.norm(cr, axis=-1)[..., None]),
+        ("b_cov", b, from_voigt(np.einsum("...ki,...i->...k", h_vec,
+                                          normal))),
+        ("a_up", a_up, np.einsum("egab,egbi->egai", A, a_vec)),
+        ("raise2", raise2(A, b), np.einsum("...ac,...cd,...db->...ab",
+                                           A, b, A)),
+        ("ddot22", ddot22(A, b), np.einsum("...ab,...ab->...", A, b)),
+        ("dot3", dot3(a_vec[..., 0, :], a_vec[..., 1, :]),
+         np.einsum("egi,egi->eg", a_vec[..., 0, :], a_vec[..., 1, :])),
+        ("outer4", outer4(A, b), np.einsum("...ab,...cd->...abcd", A, b)),
+        ("sym4", sym4(A, b), 0.5 * (np.einsum("...ac,...bd->...abcd", A, b)
+                                    + np.einsum("...ad,...bc->...abcd", A, b))),
+        ("ddot4 (2, 2)", _ddot4(A, Da),
+         np.einsum("...eh,...ehcd->...cd", A, Da)),
+        ("ddot4 (2, 2, 2, 2)", _ddot4(g4, Da),
+         np.einsum("...abeh,...ehcd->...abcd", g4, Da)),
+        ("surface sum", _surface_sum(q.dN, A[..., 0]),
+         np.einsum("egna,ega->egn", q.dN, A[..., 0])),
+        ("point sum", _point_sum(q.N, normal, w),
+         np.einsum("eg,egn,egi->eni", w, q.N, normal)),
+    ]
+    E, K = 0.5 * (state.a_cov - q.ref_state.a_cov), b - q.ref_state.b_cov
+    tau, M0 = KOITER.stress(q.ref_state, state)
+    Ar = q.ref_state.a_con
+    pairs += [
+        ("koiter tau", tau, KOITER.lam * np.einsum("...ab,...ab->...", Ar, E)[
+            ..., None, None] * Ar + 2.0 * KOITER.mu * np.einsum(
+            "...ac,...cd,...db->...ab", Ar, E, Ar)),
+        ("koiter M0", M0, KOITER.thickness ** 2 / 12.0 * (
+            KOITER.lam * np.einsum("...ab,...ab->...", Ar, K)[..., None, None]
+            * Ar + 2.0 * KOITER.mu * np.einsum("...ac,...cd,...db->...ab",
+                                                Ar, K, Ar))),
+    ]
+    if which == "patch":
+        _, _, _, _, _, gamma = pq.current(x)
+        B, Nt = _b_operators(pq, state, normal, a_vec, a_up, gamma)
+        sv = KOITER.stress_voigt(pq.ref_state, state)
+        half = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
+        wA = pq.wq * pq.jacA
+        pairs += [
+            ("gamma", gamma, np.einsum("egci,egri->egcr", a_up, h_vec)),
+            ("Nt", Nt, pq.d2N - np.einsum("egcr,egnc->egnr", gamma, pq.dN)),
+            ("f_int", internal_forces(pq, KOITER, x, tangent=False)[0],
+             np.einsum("egkd,egk->ed", B, sv * half * wA[..., None])),
+            ("f_pressure", follower_pressure(pq, 0.7, x, tangent=False)[0],
+             0.7 * np.einsum("egn,egi->eni", pq.N, normal * w[..., None]
+                             ).reshape(pq.nel, -1)),
+        ]
+    else:
+        P = np.einsum("egcd,d->egc", A, _EPS2[:, eq.xi_dir])
+        qn = np.einsum("egnc,egc->egn", eq.dN, P)
+        pairs.append(("f_moment",
+                      follower_edge_moment(eq, 0.3, x, tangent=False)[0],
+                      -0.3 * np.einsum("egn,egi->eni", qn * w[..., None],
+                                       normal).reshape(eq.nel, -1)))
+    assert_contractions(pairs)
 
 
 def point_tables(patch, n_gauss, side=None):

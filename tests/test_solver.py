@@ -1,16 +1,20 @@
 """End-to-end checks of the incremental Newton solver on small problems."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import igashell.benchmarks as benchmarks
 import igashell.solver as solver_mod
 from igashell.benchmarks import (FOLD, build_bending_folded,
                                  build_hemisphere_hole)
 from igashell.constraints import Multiplier, Penalty, RotationConstraint
-from igashell.elements import internal_forces
+from igashell.elements import PatchQuadrature, internal_forces
 from igashell.geometry import Mesh, make_folded_strip, make_plate
-from igashell.materials import KoiterMaterial
+from igashell.kinematics import MetricState
+from igashell.materials import CanhamMaterial, KoiterMaterial
 from igashell.solver import Model, NonConvergenceError, displacement_at, solve
 
 from test_constraints import reversed_fold_mesh
@@ -196,6 +200,77 @@ def test_reversed_patch_order_takes_the_same_load_path(penalty_strip_path):
         assert abs(h_rev.iterations - h.iterations) <= 2
 
 
+# -- the reference state -----------------------------------------------------
+
+SMALL_BUILDS = {
+    "build_hemisphere_linear": (2, 4), "build_plate_sinusoidal": (2, 4),
+    "build_cylinder_linear": (2, 4), "build_bending_flat": (4, "double_skew"),
+    "build_bending_folded": (1, 2), "build_cantilever": (0.2, 2, 4),
+    "build_hemisphere_hole": (2, 4), "build_cylinder_pinch_nl": (2, 4),
+    "build_cylinder_free_nl": (2, 4),
+}
+
+
+def at_rest(tables, X):
+    """Elements of the tables, in order, whose nodes sit at their table's
+    reference points."""
+    return np.concatenate([np.all(X[q.conn] == q.patch.points[q.local_ids],
+                                  axis=(1, 2)) for q in tables])
+
+
+def with_reference(stacked, tables):
+    """A stack given the reference state and normal of its tables."""
+    stacked.ref_normal = np.concatenate([q.ref_normal for q in tables])
+    stacked.ref_state = MetricState(*(
+        np.concatenate([getattr(q.ref_state, f.name) for q in tables])
+        for f in fields(MetricState)))
+    return stacked
+
+
+def assert_reference_state(q, X, at):
+    state, normal = q._current(X)[:2]
+    for cur, ref in ((state.a_cov, q.ref_state.a_cov),
+                     (state.b_cov, q.ref_state.b_cov), (normal, q.ref_normal)):
+        assert np.array_equal(cur[at], ref[at])
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BUILDS))
+def test_reference_state_is_at_rest_bit_for_bit(name):
+    """At x = X every kernel block reproduces its reference metric,
+    curvature and normal bit for bit, so strain-based laws give exactly
+    zero internal forces, and every constraint sits at its rest angle
+    exactly (sin of the deviation 0).  Only the hemisphere's pole, whose
+    coincident control points merge into one node, leaves its reference
+    points."""
+    builders = {n for n in dir(benchmarks) if n.startswith("build_")}
+    assert builders == set(SMALL_BUILDS)
+    model = getattr(benchmarks, name)(*SMALL_BUILDS[name])
+    model = model[0] if isinstance(model, tuple) else model
+    X = model.mesh.node_coords
+    strain_based = not isinstance(model.material, CanhamMaterial)
+    members = [(pq, None) for pq in model.quads] + list(model.constraints)
+    for idx in solver_mod._group(members, solver_mod._kind):
+        items = [members[i][0] for i in idx]
+        if members[idx[0]][1] is None:
+            pq = with_reference(PatchQuadrature.stack(items), items)
+            at = at_rest(items, X)
+            assert at.all() or name == "build_hemisphere_linear"
+            assert_reference_state(pq, X, at)
+            if strain_based:
+                f_el, _ = internal_forces(pq, model.material, X, False)
+                assert np.all(f_el[at] == 0.0)
+            continue
+        con = RotationConstraint.stack(items, [0] * len(items))
+        for side in ("eq_a", "eq_b")[:1 + con.two_sided]:
+            tables = [getattr(c, side) for c in items]
+            eq = with_reference(getattr(con, side), tables)
+            at = at_rest(tables, X)
+            assert at.all() or name == "build_hemisphere_linear"
+            assert_reference_state(eq, X, at)
+        _, sind = con.angle_deviation(X)
+        assert np.all(sind[at_rest([c.eq_a for c in items], X)] == 0.0)
+
+
 # -- stacked assembly -------------------------------------------------------
 
 
@@ -335,17 +410,47 @@ def test_stacked_assembly_many_blocks():
     assert_assembly_is_reference(model)
 
 
+def assert_free_block(model, K, free):
+    """The gathered free-DOF block is K[free][:, free].tocsc() exactly."""
+    Kff, ref = model.free_tangent(K, free), K[free][:, free].tocsc()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(Kff, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("method", [("lm", "n2q1c"), ("penalty", 1e4)])
+def test_free_block_is_the_sliced_tangent(method):
+    model, _ = build_bending_folded(2, 2, method)
+    nq, _ = model.multiplier_layout()
+    assert model._presc_mask.any() and (nq > 0) == (method[0] == "lm")
+    rng = np.random.default_rng(3)
+    x = model.mesh.node_coords + 1e-3 * rng.standard_normal(
+        model.mesh.node_coords.shape)
+    _, K, _ = model.assemble(x, rng.standard_normal(nq), 0.7)
+    free = ~np.concatenate([model._presc_mask, np.zeros(nq, dtype=bool)])
+    assert_free_block(model, K, free)
+    # another set of free DOFs gets its own map
+    free[5:40:7] = False
+    assert_free_block(model, K, free)
+
+
 def test_layout_follows_the_constraint_list():
     model = build_hemisphere_hole(2, 4)
     x, q = model.mesh.node_coords, np.zeros(0)
     _, K_two, _ = model.assemble(x, q, 1.0)
     cons = list(model.constraints)
     (con_a, how), (con_b, _) = cons
+    free = ~model._presc_mask
+    layouts = [model._current_layout()]
 
     def assert_reference():
+        """K, its pattern and its free block follow the current list."""
         _, K, _ = model.assemble(x, q, 1.0)
         _, K_ref = reference_assemble(model, x, q, 1.0, True)
-        assert np.array_equal(K.data, K_ref.data)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(K, name), getattr(K_ref, name))
+        assert model._current_layout() is not layouts[-1]
+        layouts.append(model._current_layout())
+        assert_free_block(model, K, free)
         return K
 
     # as many constraints as before, in place, with another penalty
@@ -356,6 +461,30 @@ def test_layout_follows_the_constraint_list():
     assert_reference()
     model.constraints += cons
     assert np.array_equal(assert_reference().data, K_two.data)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bending_folded(2, 2, ("penalty", 1e4))[0],
+    lambda: build_bending_folded(2, 2, ("lm", "n2q0"))[0],
+    lambda: build_hemisphere_hole(2, 8), two_shape_model,
+], ids=["penalty_strip", "multiplier_strip", "hemisphere", "two_shapes"])
+def test_assembly_makes_no_einsum_call(monkeypatch, build):
+    """Every point kernel contracts by matmul or componentwise sums."""
+    model = build()
+    calls = []
+    einsum = np.einsum
+
+    def counting_einsum(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    nq, _ = model.multiplier_layout()
+    x = model.mesh.node_coords + 1e-3 * np.sin(
+        np.arange(model.mesh.node_coords.size)).reshape(-1, 3)
+    for tangent in (True, False):
+        model.assemble(x, np.full(nq, 0.1), 0.5, tangent)
+    assert calls == []
 
 
 def test_every_tangent_is_factorized(monkeypatch):
