@@ -116,15 +116,16 @@ class RotationConstraint:
             ng = n_gauss if n_gauss is not None else max(run_a, run_b) + 1
         else:
             ng = n_gauss
-        self.eq_a = EdgeQuadrature(pa, mesh.patch_node_ids[patch_a], side_a,
-                                   n_gauss=ng)
+        self.eq_a = EdgeQuadrature(pa, mesh.patch_node_ids[patch_a],
+                                   mesh.node_coords, side_a, n_gauss=ng)
         self.nel = self.eq_a.nel
         self.ngp = self.eq_a.ngp
         scale = mesh.bbox_diag()
 
         if self.two_sided:
             self.eq_b = EdgeQuadrature(pb, mesh.patch_node_ids[patch_b],
-                                       side_b, n_gauss=ng, reverse=flip_b)
+                                       mesh.node_coords, side_b, n_gauss=ng,
+                                       reverse=flip_b)
             if self.eq_b.nel != self.nel:
                 raise ValueError("interface sides have different element counts")
             gap = np.linalg.norm(self.eq_a.X - self.eq_b.X, axis=-1).max()

@@ -121,12 +121,18 @@ class _Tables:
 class PatchQuadrature(_Tables):
     """Per-element basis tables and reference geometry for one patch.
 
-    Quadrature uses (p + 1) x (q + 1) Gauss points per element.
+    ``node_ids`` maps the patch's control points to rows of ``node_coords``,
+    the reference node coordinates (``Mesh.node_coords``), from which the
+    reference geometry is computed as every current state is; so x = X is
+    the reference state bit for bit, also where coincident control points
+    merge into one node.  Quadrature uses (p + 1) x (q + 1) Gauss points per
+    element.
     """
 
     STACKED = _Tables.STACKED + ("ref_state", "jacA")
 
-    def __init__(self, patch: Patch, node_ids: np.ndarray, n_gauss=None):
+    def __init__(self, patch: Patch, node_ids: np.ndarray,
+                 node_coords: np.ndarray, n_gauss=None):
         self.patch = patch
         bu, bv = patch.basis_u, patch.basis_v
         ngu, ngv = (bu.degree + 1, bv.degree + 1) if n_gauss is None else n_gauss
@@ -143,7 +149,7 @@ class PatchQuadrature(_Tables):
         self.edof = (3 * self.conn[:, :, None]
                      + np.arange(3)[None, None, :]).reshape(nel, 3 * nloc)
         # reference geometry at the quadrature points
-        Xe = patch.points[self.local_ids]                   # (nel, nloc, 3)
+        Xe = node_coords[self.conn]                         # (nel, nloc, 3)
         self.X = np.einsum("egn,eni->egi", self.N, Xe)
         A_vec = _at_points(self.dN, Xe)
         H_vec = _at_points(self.d2N, Xe)
@@ -157,24 +163,26 @@ class PatchQuadrature(_Tables):
         return state, normal, a_vec, a_up, h_vec, gamma
 
 
-def _b_operators(pq, state, normal, a_vec, a_up, gamma):
+def _b_operators(pq, normal, a_vec, gamma):
     """Hatted strain-variation operators, stacked (nel, ngp, 6, 3 nloc).
 
     Rows 0-2: [d a11, d a22, 2 d a12]; rows 3-5: [d b11, d b22, 2 d b12].
+    Row r at a point is [dN | Nt] (nloc x 5) @ V_r (5 x 3), with the
+    Christoffel-corrected second derivatives Nt; V_r holds 2 a_0, 2 a_1 or
+    n (2 n in the twist row) in fixed slots and zeros elsewhere, so all six
+    rows of all points are one batched matmul.
     """
     nel, ngp, nloc = pq.nel, pq.ngp, pq.nloc
-    dN, d2N = pq.dN, pq.d2N
+    dN = pq.dN
     # covariant second derivatives of the basis (Christoffel corrected)
-    Nt = d2N - np.matmul(dN, gamma)
-    B = np.empty((nel, ngp, 6, nloc, 3))
-    B[:, :, 0] = 2.0 * dN[..., 0, None] * a_vec[:, :, None, 0, :]
-    B[:, :, 1] = 2.0 * dN[..., 1, None] * a_vec[:, :, None, 1, :]
-    B[:, :, 2] = 2.0 * (dN[..., 0, None] * a_vec[:, :, None, 1, :]
-                        + dN[..., 1, None] * a_vec[:, :, None, 0, :])
-    n_b = normal[:, :, None, :]
-    B[:, :, 3] = Nt[..., 0, None] * n_b
-    B[:, :, 4] = Nt[..., 1, None] * n_b
-    B[:, :, 5] = 2.0 * Nt[..., 2, None] * n_b
+    Nt = pq.d2N - np.matmul(dN, gamma)
+    V = np.zeros((nel, ngp, 6, 5, 3))
+    a2 = 2.0 * a_vec
+    V[:, :, 0, 0] = V[:, :, 2, 1] = a2[:, :, 0]
+    V[:, :, 1, 1] = V[:, :, 2, 0] = a2[:, :, 1]
+    V[:, :, 3, 2] = V[:, :, 4, 3] = normal
+    V[:, :, 5, 4] = 2.0 * normal
+    B = np.matmul(np.concatenate([dN, Nt], axis=-1)[:, :, None], V)
     return B.reshape(nel, ngp, 6, 3 * nloc), Nt
 
 
@@ -237,25 +245,19 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     Every stiffness term is one matmul whose inner dimension is the Gauss
     point axis (times a few rows per point), so the Gauss sum happens inside
     BLAS and no per-Gauss-point nd x nd product exists; the largest
-    per-point temporary is nloc x nloc, a ninth of it.  Sums over a surface
-    index are small per-point products, (nloc x 2)(2 x 2) or (2 x 3).
-
-    - material: B^T (M6 w) B over (g, the 6 strain rows) (``_gauss_sum``).
-    - membrane geometric: S = sum_g dN (tau w) dN^T over (g, b)
-      (``_gauss_sum``), added to the three component diagonals (S kron I).
-    - bending kM1 = -sum_g S_g[n, m] n_i n_j, S_g = dN (a^{ab} bM w) dN^T:
-      one matmul of S (nel, nloc nloc, ngp) against n n^T (nel, ngp, 9)
-      (``_metric_kron``).
-    - bending kM2 = -sum_g n_i (dN a^c w)[n, j] mt[m]: one matmul of
-      n_i (dN a^c w)[n, j] (nel, nloc 9, ngp) against mt (nel, ngp, nloc)
-      (``_normal_kron``); its transpose is the mirrored term.
+    per-point temporary is nloc x nloc, a ninth of it.  The material term is
+    B^T (M6 w) B over (g, the 6 strain rows) (``_gauss_sum``); the geometric
+    terms are those of ``_add_geometric``.  They are linear in the stress
+    resultants, so a block whose resultants are all exactly zero -- a
+    strain-based law at x = X, where every linear solve evaluates its
+    tangent -- skips them: K is then the same up to the sign of a zero.
     """
-    state, normal, a_vec, a_up, h_vec, gamma = pq.current(x_nodes)
+    state, normal, a_vec, a_up, _, gamma = pq.current(x_nodes)
     ref = pq.ref_state
-    nel, ngp, nloc = pq.nel, pq.ngp, pq.nloc
+    nel, ngp = pq.nel, pq.ngp
     w = pq.wq * pq.jacA                                    # (nel, ngp)
     sv = material.stress_voigt(ref, state)                 # (nel, ngp, 6)
-    B, Nt = _b_operators(pq, state, normal, a_vec, a_up, gamma)
+    B, Nt = _b_operators(pq, normal, a_vec, gamma)
     half = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
     # the force vector sums over (g, the 6 strain rows) as one matmul
     f_el = np.matmul((sv * half * w[..., None]).reshape(nel, 1, -1),
@@ -273,8 +275,28 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     T *= w[..., None, None]
     K = _gauss_sum(B, T)
     del B, T        # the largest temporaries; the terms below need neither
+    if sv.any():
+        _add_geometric(K, pq, sv, state, normal, a_up, Nt, w)
+    return f_el, K
 
-    # geometric part from the second variation of the strains
+
+def _add_geometric(K, pq, sv, state, normal, a_up, Nt, w):
+    """Add the geometric stiffness, from the second variation of the
+    strains, to the element tangents K (nel, nd, nd) in place.
+
+    Sums over a surface index are small per-point products, (nloc x 2)
+    (2 x 2) or (2 x 3).
+
+    - membrane: S = sum_g dN (tau w) dN^T over (g, b) (``_gauss_sum``),
+      added to the three component diagonals (S kron I).
+    - bending kM1 = -sum_g S_g[n, m] n_i n_j, S_g = dN (a^{ab} bM w) dN^T:
+      one matmul of S (nel, nloc nloc, ngp) against n n^T (nel, ngp, 9)
+      (``_metric_kron``).
+    - bending kM2 = -sum_g n_i (dN a^c w)[n, j] mt[m]: one matmul of
+      n_i (dN a^c w)[n, j] (nel, nloc 9, ngp) against mt (nel, ngp, nloc)
+      (``_normal_kron``); its transpose is the mirrored term.
+    """
+    nel, ngp, nloc = pq.nel, pq.ngp, pq.nloc
     tau = np.empty((nel, ngp, 2, 2))
     tau[..., 0, 0] = sv[..., 0]
     tau[..., 1, 1] = sv[..., 1]
@@ -297,7 +319,6 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     kM2 = _normal_kron(normal, np.matmul(pq.dN, a_up * w[..., None, None]),
                        mt)
     K -= kM2 + kM2.swapaxes(1, 2)
-    return f_el, K
 
 
 def total_energy(pq: PatchQuadrature, material, x_nodes):
@@ -363,13 +384,15 @@ class EdgeQuadrature(_Tables):
     coupled quantities (normals, curvatures) are available.  ``reverse``
     lays the points out in reversed element and Gauss order, running against
     the edge parameter, as the mate side of a reversed interface needs.
+    ``node_ids`` and ``node_coords`` are those of ``PatchQuadrature``.
     """
 
     STACKED = _Tables.STACKED + ("jac_edge0",)
     SHARED = ("xi_dir",)
 
-    def __init__(self, patch: Patch, node_ids: np.ndarray, side: str,
-                 n_gauss=None, reverse=False):
+    def __init__(self, patch: Patch, node_ids: np.ndarray,
+                 node_coords: np.ndarray, side: str, n_gauss=None,
+                 reverse=False):
         self.patch = patch
         self.side = side
         along_u = side in ("v0", "v1")
@@ -392,7 +415,7 @@ class EdgeQuadrature(_Tables):
         self.wq = wg[None, :] * run.h[els, None]
         self.edof = (3 * self.conn[:, :, None] + np.arange(3)[None, None, :]
                      ).reshape(self.nel, 3 * self.nloc)
-        Xe = patch.points[self.local_ids]
+        Xe = node_coords[self.conn]
         self.X = np.einsum("egn,eni->egi", self.N, Xe)
         A_vec = _at_points(self.dN, Xe)
         H_vec = _at_points(self.d2N, Xe)

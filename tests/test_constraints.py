@@ -250,8 +250,8 @@ def test_reversed_interface_tables_and_gap(n_gauss):
     # the rest angle, read through the reversed side, is the fold angle
     assert np.allclose(con.c0, np.cos(np.radians(FOLD_DEG)), atol=1e-13)
     plain = EdgeQuadrature(mesh.patches[iface.patch_b],
-                           mesh.patch_node_ids[iface.patch_b], iface.side_b,
-                           n_gauss=con.ngp)
+                           mesh.patch_node_ids[iface.patch_b],
+                           mesh.node_coords, iface.side_b, n_gauss=con.ngp)
     for name, want in edge_flipped_by_hand(plain).items():
         obj, _, attr = name.rpartition(".")
         got = getattr(con.eq_b.ref_state if obj else con.eq_b, attr)

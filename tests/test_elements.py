@@ -1,6 +1,8 @@
 """Assembly-level gates: rigid-body invariance, residual vs energy gradient,
 and consistent tangents vs finite differences of the residual."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ def strip_mesh():
 
 def tables(mesh, extra_gauss=False):
     """Default (p+1) x (q+1) tables, or (p+2) x (q+1) so that ngp != nloc."""
-    return [PatchQuadrature(p, mesh.patch_node_ids[k],
+    return [PatchQuadrature(p, mesh.patch_node_ids[k], mesh.node_coords,
                             n_gauss=(p.degree_u + 2, p.degree_v + 1)
                             if extra_gauss else None)
             for k, p in enumerate(mesh.patches)]
@@ -153,6 +155,24 @@ def test_kernel_contractions_match_einsum():
              np.einsum("egi,egnj,egm->enimj", x, X, v))):
         err = np.abs(K - ref.reshape(K.shape)).max() / np.abs(ref).max()
         assert err < 1e-14, f"contraction differs from einsum: {err:.2e}"
+    # B: membrane rows sym(0, 0), sym(1, 1), 2 sym(0, 1), sym(a, b) =
+    # dN_a a_b + dN_b a_a; bending rows (1, 1, 2) Nt_r n
+    pq = SimpleNamespace(nel=e, ngp=g, nloc=n, dN=dNl,
+                         d2N=rng.standard_normal((e, g, n, 3)))
+    a_vec, gamma = rng.standard_normal((2, e, g, 2, 3))
+    B, Nt = _b_operators(pq, x, a_vec, gamma)
+    Nt_ref = pq.d2N - np.einsum("egnc,egcr->egnr", pq.dN, gamma)
+
+    def sym(a, b):
+        return (np.einsum("egn,egi->egni", pq.dN[..., a], a_vec[:, :, b])
+                + np.einsum("egn,egi->egni", pq.dN[..., b], a_vec[:, :, a]))
+
+    ref = np.stack([sym(0, 0), sym(1, 1), 2.0 * sym(0, 1)]
+                   + [c * np.einsum("egn,egi->egni", Nt_ref[..., r], x)
+                      for r, c in enumerate((1.0, 1.0, 2.0))], axis=2)
+    for got, want in ((Nt, Nt_ref), (B, ref.reshape(B.shape))):
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err < 1e-14, f"B operator differs from einsum: {err:.2e}"
 
 
 def assert_contractions(pairs):
@@ -169,8 +189,9 @@ def contraction_tables():
     mesh = strip_mesh()
     patch, ids = mesh.patches[1], mesh.patch_node_ids[1]
     ng = patch.degree_u + 2
-    pq = PatchQuadrature(patch, ids, n_gauss=(ng, patch.degree_v + 2))
-    eq = EdgeQuadrature(patch, ids, "u1", n_gauss=ng)
+    pq = PatchQuadrature(patch, ids, mesh.node_coords,
+                         n_gauss=(ng, patch.degree_v + 2))
+    eq = EdgeQuadrature(patch, ids, mesh.node_coords, "u1", n_gauss=ng)
     assert pq.ngp != pq.nloc and eq.ngp != eq.nloc
     return pq, eq, perturbed(mesh, 0.02, seed=9)
 
@@ -229,7 +250,7 @@ def test_point_contractions_match_einsum(which):
     ]
     if which == "patch":
         _, _, _, _, _, gamma = pq.current(x)
-        B, Nt = _b_operators(pq, state, normal, a_vec, a_up, gamma)
+        B, Nt = _b_operators(pq, normal, a_vec, gamma)
         sv = KOITER.stress_voigt(pq.ref_state, state)
         half = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
         wA = pq.wq * pq.jacA
@@ -291,12 +312,13 @@ def test_tables_match_point_evaluation(patch, extra):
     ids = np.arange(patch.points.shape[0])
     pu, pv = patch.degree_u, patch.degree_v
     n_gauss = (pu + 1 + extra, pv + 1)
-    pq = PatchQuadrature(patch, ids, n_gauss=n_gauss)
+    pq = PatchQuadrature(patch, ids, patch.points, n_gauss=n_gauss)
     assert (pq.ngp != pq.nloc) == bool(extra)
     quads = [(pq, point_tables(patch, n_gauss))]
     for side in ("u0", "u1", "v0", "v1"):
         ng = (pu if side in ("v0", "v1") else pv) + 1 + extra
-        quads.append((EdgeQuadrature(patch, ids, side, n_gauss=ng),
+        quads.append((EdgeQuadrature(patch, ids, patch.points, side,
+                                     n_gauss=ng),
                       point_tables(patch, ng, side)))
     for q, (idx, N, dN, d2N, wq) in quads:
         assert np.array_equal(idx, np.broadcast_to(q.local_ids[:, None],
@@ -309,7 +331,8 @@ def test_tables_match_point_evaluation(patch, extra):
 
 def test_dead_area_load_resultant():
     mesh = Mesh([make_plate(2.0, 0.5, 3, 3, 2)])
-    pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0])
+    pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
+                         mesh.node_coords)
     t = np.array([0.0, 0.0, -3.0])
     fe = dead_area_load(pq, t)
     total = np.zeros(mesh.n_dofs)
@@ -319,7 +342,8 @@ def test_dead_area_load_resultant():
 
 def test_follower_pressure_resultant_and_tangent():
     mesh = cap_mesh()
-    pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0])
+    pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
+                         mesh.node_coords)
     x0 = perturbed(mesh, 0.01, seed=8)
     p = 2.5
     fe, Ke = follower_pressure(pq, p, x0)
@@ -342,7 +366,8 @@ def test_follower_pressure_resultant_and_tangent():
 def test_follower_pressure_closed_direction():
     # a flat plate under pressure must push along +z with resultant p * area
     mesh = Mesh([make_plate(1.0, 1.0, 2, 2, 2)])
-    pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0])
+    pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
+                         mesh.node_coords)
     fe, _ = follower_pressure(pq, 1.0, mesh.node_coords, tangent=False)
     total = np.zeros(mesh.n_dofs)
     np.add.at(total, pq.edof, fe)
@@ -352,7 +377,8 @@ def test_follower_pressure_closed_direction():
 
 def test_dead_edge_traction_resultant():
     mesh = Mesh([make_plate(2.0, 1.5, 2, 3, 3)])
-    eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0], "u1")
+    eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
+                        mesh.node_coords, "u1")
     t = np.array([1.0, 0.5, -2.0])
     fe = dead_edge_traction(eq, t)
     total = np.zeros(mesh.n_dofs)
@@ -362,7 +388,8 @@ def test_dead_edge_traction_resultant():
 
 def test_follower_moment_tangent():
     mesh = Mesh([make_plate(1.0, 1.0, 3, 2, 2)])
-    eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0], "u1")
+    eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
+                        mesh.node_coords, "u1")
     x0 = perturbed(mesh, 0.05, seed=11)
     m = 0.7
     fe, Ke = follower_edge_moment(eq, m, x0)
@@ -387,7 +414,8 @@ def test_follower_moment_is_torque_about_edge():
     # the plate and self-equilibrated in force, with torque m * edge length
     # about the edge line
     mesh = Mesh([make_plate(1.0, 1.0, 2, 2, 2)])
-    eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0], "u1")
+    eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
+                        mesh.node_coords, "u1")
     m = 1.3
     fe, _ = follower_edge_moment(eq, m, mesh.node_coords, tangent=False)
     f = np.zeros(mesh.n_dofs)

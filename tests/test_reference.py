@@ -199,7 +199,7 @@ def test_pure_bending_arc_length_stretch(bending):
 
 
 def quad_for(patch, mesh):
-    return PatchQuadrature(patch, mesh.patch_node_ids[0])
+    return PatchQuadrature(patch, mesh.patch_node_ids[0], mesh.node_coords)
 
 
 def test_l2_error_zero_for_exact_match():

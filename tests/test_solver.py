@@ -7,11 +7,13 @@ import pytest
 import scipy.sparse as sp
 
 import igashell.benchmarks as benchmarks
+import igashell.elements as elements_mod
 import igashell.solver as solver_mod
 from igashell.benchmarks import (FOLD, build_bending_folded,
                                  build_hemisphere_hole)
 from igashell.constraints import Multiplier, Penalty, RotationConstraint
-from igashell.elements import PatchQuadrature, internal_forces
+from igashell.elements import (PatchQuadrature, _add_geometric, _b_operators,
+                               internal_forces)
 from igashell.geometry import Mesh, make_folded_strip, make_plate
 from igashell.kinematics import MetricState
 from igashell.materials import CanhamMaterial, KoiterMaterial
@@ -80,24 +82,30 @@ def test_prescribed_edge_displacement_drives_reaction():
     assert abs(r[2::3].sum()) < 1e-9 * np.abs(reactions).max()
 
 
+def coupled_strip(method):
+    """A clamped flat two-patch strip, its interface coupled by ``method``,
+    under a tip point load."""
+    mesh, _ = make_folded_strip(0.5, 0.5, 0.4, 0.0, 2, 2, 2)
+    mat = KoiterMaterial.from_youngs(E, NU, T)
+    model = Model(mesh, mat)
+    model.fix_edge(0, "u0")
+    model.add_constraint(RotationConstraint.fixed(mesh, 0, "u0"),
+                         Penalty(100.0 * E * T**3))
+    iface = mesh.interfaces[0]
+    model.add_constraint(RotationConstraint.from_interface(mesh, iface),
+                         method)
+    model.add_point_force(1, mesh.patches[1].param_range[0][1], 0.2,
+                          [0.0, 0.0, 2e-5])
+    return mesh, model
+
+
 @pytest.mark.parametrize("interp", ["n2q0", "n2q1c"])
 def test_penalty_and_multiplier_coupling_agree(interp):
     results = {}
     for method_name in ("penalty", "lm"):
-        mesh, meta = make_folded_strip(0.5, 0.5, 0.4, 0.0, 2, 2, 2)
-        mat = KoiterMaterial.from_youngs(E, NU, T)
-        model = Model(mesh, mat)
-        model.fix_edge(0, "u0")
-        model.add_constraint(RotationConstraint.fixed(mesh, 0, "u0"),
-                             Penalty(100.0 * E * T**3))
-        iface = mesh.interfaces[0]
-        con = RotationConstraint.from_interface(mesh, iface)
-        if method_name == "penalty":
-            model.add_constraint(con, Penalty(100.0 * E * T**3))
-        else:
-            model.add_constraint(con, Multiplier(interp))
-        model.add_point_force(1, mesh.patches[1].param_range[0][1], 0.2,
-                              [0.0, 0.0, 2e-5])
+        mesh, model = coupled_strip(Penalty(100.0 * E * T**3)
+                                    if method_name == "penalty"
+                                    else Multiplier(interp))
         hist = solve(model, n_steps=1, tol_rel=1e-10)
         results[method_name] = displacement_at(
             mesh, hist[-1].x, 1, mesh.patches[1].param_range[0][1], 0.2)[2]
@@ -211,13 +219,6 @@ SMALL_BUILDS = {
 }
 
 
-def at_rest(tables, X):
-    """Elements of the tables, in order, whose nodes sit at their table's
-    reference points."""
-    return np.concatenate([np.all(X[q.conn] == q.patch.points[q.local_ids],
-                                  axis=(1, 2)) for q in tables])
-
-
 def with_reference(stacked, tables):
     """A stack given the reference state and normal of its tables."""
     stacked.ref_normal = np.concatenate([q.ref_normal for q in tables])
@@ -227,11 +228,16 @@ def with_reference(stacked, tables):
     return stacked
 
 
-def assert_reference_state(q, X, at):
+def assert_reference_state(q, X):
     state, normal = q._current(X)[:2]
     for cur, ref in ((state.a_cov, q.ref_state.a_cov),
                      (state.b_cov, q.ref_state.b_cov), (normal, q.ref_normal)):
-        assert np.array_equal(cur[at], ref[at])
+        assert np.array_equal(cur, ref)
+
+
+def small_model(name):
+    model = getattr(benchmarks, name)(*SMALL_BUILDS[name])
+    return model[0] if isinstance(model, tuple) else model
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_BUILDS))
@@ -239,13 +245,11 @@ def test_reference_state_is_at_rest_bit_for_bit(name):
     """At x = X every kernel block reproduces its reference metric,
     curvature and normal bit for bit, so strain-based laws give exactly
     zero internal forces, and every constraint sits at its rest angle
-    exactly (sin of the deviation 0).  Only the hemisphere's pole, whose
-    coincident control points merge into one node, leaves its reference
-    points."""
+    exactly (sin of the deviation 0).  This holds also at the hemisphere's
+    pole, whose coincident control points merge into one node."""
     builders = {n for n in dir(benchmarks) if n.startswith("build_")}
     assert builders == set(SMALL_BUILDS)
-    model = getattr(benchmarks, name)(*SMALL_BUILDS[name])
-    model = model[0] if isinstance(model, tuple) else model
+    model = small_model(name)
     X = model.mesh.node_coords
     strain_based = not isinstance(model.material, CanhamMaterial)
     members = [(pq, None) for pq in model.quads] + list(model.constraints)
@@ -253,22 +257,71 @@ def test_reference_state_is_at_rest_bit_for_bit(name):
         items = [members[i][0] for i in idx]
         if members[idx[0]][1] is None:
             pq = with_reference(PatchQuadrature.stack(items), items)
-            at = at_rest(items, X)
-            assert at.all() or name == "build_hemisphere_linear"
-            assert_reference_state(pq, X, at)
+            assert_reference_state(pq, X)
             if strain_based:
                 f_el, _ = internal_forces(pq, model.material, X, False)
-                assert np.all(f_el[at] == 0.0)
+                assert np.all(f_el == 0.0)
             continue
         con = RotationConstraint.stack(items, [0] * len(items))
         for side in ("eq_a", "eq_b")[:1 + con.two_sided]:
             tables = [getattr(c, side) for c in items]
             eq = with_reference(getattr(con, side), tables)
-            at = at_rest(tables, X)
-            assert at.all() or name == "build_hemisphere_linear"
-            assert_reference_state(eq, X, at)
+            assert_reference_state(eq, X)
         _, sind = con.angle_deviation(X)
-        assert np.all(sind[at_rest([c.eq_a for c in items], X)] == 0.0)
+        assert np.all(sind == 0.0)
+
+
+def full_tangent(pq, material, x):
+    """The element tangents of ``internal_forces`` with the geometric terms
+    always evaluated."""
+    _, K = internal_forces(pq, material, x)
+    state, normal, a_vec, a_up, _, gamma = pq.current(x)
+    sv = material.stress_voigt(pq.ref_state, state)
+    _, Nt = _b_operators(pq, normal, a_vec, gamma)
+    _add_geometric(K, pq, sv, state, normal, a_up, Nt, pq.wq * pq.jacA)
+    return sv, K
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_BUILDS))
+def test_stress_free_tangent_skip_is_exact(name):
+    """Where a patch block carries no stress at x = X -- every block of a
+    strain-based law -- the tangent that skips the geometric terms equals,
+    bit for bit, the one that evaluates them."""
+    model = small_model(name)
+    X = model.mesh.node_coords
+    strain_based = not isinstance(model.material, CanhamMaterial)
+    for block, method in model._current_layout().blocks:
+        if method is not None:
+            continue
+        sv, K_full = full_tangent(block, model.material, X)
+        if strain_based:
+            assert not sv.any()
+        if not sv.any():
+            assert np.array_equal(internal_forces(block, model.material, X)[1],
+                                  K_full)
+
+
+def test_stressed_tangent_keeps_its_geometric_terms(monkeypatch):
+    """The geometric terms are skipped at x = X only: at a perturbed state
+    every patch block evaluates them."""
+    model = small_model("build_hemisphere_linear")
+    calls = []
+    add = elements_mod._add_geometric
+
+    def counting_add(K, *args):
+        calls.append(K.shape)
+        return add(K, *args)
+
+    monkeypatch.setattr(elements_mod, "_add_geometric", counting_add)
+    X = model.mesh.node_coords
+    n_patch = sum(method is None for _, method in
+                  model._current_layout().blocks)
+    q = np.zeros(model.multiplier_layout()[0])
+    model.assemble(X, q, 1.0)
+    assert calls == []
+    x = X + 1e-3 * np.sin(np.arange(X.size)).reshape(-1, 3)
+    model.assemble(x, q, 1.0)
+    assert len(calls) == n_patch > 0
 
 
 # -- stacked assembly -------------------------------------------------------
@@ -485,6 +538,30 @@ def test_assembly_makes_no_einsum_call(monkeypatch, build):
     for tangent in (True, False):
         model.assemble(x, np.full(nq, 0.1), 0.5, tangent)
     assert calls == []
+
+
+@pytest.mark.parametrize("method", [Penalty(100.0 * E * T**3),
+                                    Multiplier("n2q0")],
+                         ids=["penalty", "multiplier"])
+def test_factorization_mode_follows_the_multiplier_rows(monkeypatch, method):
+    """Every system without multiplier rows, linear or Newton, is factored
+    in symmetric mode; the saddle point, whose multiplier block has a zero
+    diagonal, keeps SuperLU's default ordering and pivoting."""
+    calls = []
+    splu = solver_mod.splu
+
+    def recording_splu(A, **kwargs):
+        calls.append(kwargs)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "splu", recording_splu)
+    _, model = coupled_strip(method)
+    solver_mod.linear_solve(model)
+    solve(model, n_steps=1, tol_rel=1e-10)
+    want = ({} if isinstance(method, Multiplier)
+            else dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True)))
+    assert len(calls) > 2 and all(kwargs == want for kwargs in calls)
 
 
 def test_every_tangent_is_factorized(monkeypatch):
