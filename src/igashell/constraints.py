@@ -96,12 +96,12 @@ class RotationConstraint:
     edge; ``stack`` joins several edges of one kind into one constraint
     over all their elements, which a single kernel call then evaluates.
 
-    The force and tangent methods return per-element blocks, stacked over
-    the edge elements: f_a (nel, 3 nloc_a), f_b on side b, f_q (nel, nql)
-    on the element's multipliers, and the stiffness blocks K_aa, K_bb, K_ab
-    (side a rows, side b columns), K_aq and K_bq.  Of each off-diagonal
-    pair only K_ab, K_aq or K_bq is returned; the tangent is symmetric, so
-    the caller scatters its transpose as well.
+    ``penalty_pass`` and ``lm_pass`` return per-element blocks, stacked
+    over the edge elements: f_a (nel, 3 nloc_a), f_b on side b, f_q (nel,
+    nql) on the element's multipliers, and, once finished, the stiffness
+    blocks K_aa, K_bb, K_ab (side a rows, side b columns), K_aq and K_bq.
+    Of each off-diagonal pair only K_ab, K_aq or K_bq is returned; the
+    tangent is symmetric, so the caller scatters its transpose as well.
     """
 
     def __init__(self, mesh, patch_a: int, side_a: str, *, patch_b=None,
@@ -217,18 +217,18 @@ class RotationConstraint:
     # current geometry
 
     def _geometry(self, x_nodes) -> _EdgeGeometry:
-        state_a, n_a, avec_a, aup_a = self.eq_a.current(x_nodes)
+        acon_a, _, n_a, avec_a, aup_a = self.eq_a.current(x_nodes)
         t_vec = avec_a[:, :, self.eq_a.xi_dir, :]
         alen = np.linalg.norm(t_vec, axis=-1)
         if np.any(alen < self._min_len):
             raise ValueError("degenerate edge tangent in current configuration")
         tau = t_vec / alen[..., None]
         if self.two_sided:
-            state_b, n_b, _, aup_b = self.eq_b.current(x_nodes)
-            return _EdgeGeometry(n_a, n_b, tau, alen, aup_a, state_a.a_con,
-                                 aup_b, state_b.a_con)
-        return _EdgeGeometry(n_a, self.fixed_nt, tau, alen, aup_a,
-                             state_a.a_con, None, None)
+            acon_b, _, n_b, _, aup_b = self.eq_b.current(x_nodes)
+            return _EdgeGeometry(n_a, n_b, tau, alen, aup_a, acon_a,
+                                 aup_b, acon_b)
+        return _EdgeGeometry(n_a, self.fixed_nt, tau, alen, aup_a, acon_a,
+                             None, None)
 
     def angle_deviation(self, x_nodes):
         """(cos, sin) of alpha - alpha0 at every edge quadrature point."""
@@ -369,17 +369,15 @@ class RotationConstraint:
         dens = 1.0 - self.c0 * g.cosa - self.s0 * g.sina
         return method.epsilon * float(np.sum(self.wS * dens))
 
-    def penalty_force(self, x_nodes, method: Penalty):
-        g = self._geometry(x_nodes)
-        eps = method.epsilon
-        return self._force_kernel(g, eps * self.c0, eps * self.s0)
-
-    def penalty_tangent(self, x_nodes, method: Penalty):
-        """((f_a, f_b), (K_aa, K_bb, K_ab)) from one geometry evaluation."""
+    def penalty_pass(self, x_nodes, method: Penalty):
+        """((f_a, f_b), finish): the penalty forces at x_nodes, and a
+        function of no arguments that returns (K_aa, K_bb, K_ab) from the
+        same geometry evaluation."""
         g = self._geometry(x_nodes)
         eps = method.epsilon
         cc, ss = eps * self.c0, eps * self.s0
-        return self._force_kernel(g, cc, ss), self._tangent_kernel(g, cc, ss)
+        return (self._force_kernel(g, cc, ss),
+                lambda: self._tangent_kernel(g, cc, ss))
 
     # ------------------------------------------------------------------
     # Lagrange multiplier method
@@ -406,36 +404,32 @@ class RotationConstraint:
         qg = self._q_field(q, method.interp)
         return float(np.sum(self.wS * qg * self._g_field(g)))
 
-    def _lm_force(self, g: _EdgeGeometry, qg, Nq):
-        f_a, f_b = self._force_kernel(g, qg * (self.s0 + self.c0),
-                                      qg * (self.s0 - self.c0))
-        f_q = np.matmul(self.wS * self._g_field(g), Nq)
-        return f_a, f_b, f_q
-
-    def lm_force(self, x_nodes, q, method: Multiplier):
-        g = self._geometry(x_nodes)
-        qg = self._q_field(q, method.interp)
-        return self._lm_force(g, qg, self._q[method.interp][0])
-
-    def lm_tangent(self, x_nodes, q, method: Multiplier):
-        """((f_a, f_b, f_q), (K_aa, K_bb, K_ab, K_aq, K_bq)) from one
-        geometry evaluation."""
+    def lm_pass(self, x_nodes, q, method: Multiplier):
+        """((f_a, f_b, f_q), finish): the multiplier forces at x_nodes and
+        q, and a function of no arguments that returns (K_aa, K_bb, K_ab,
+        K_aq, K_bq) from the same geometry evaluation."""
         g = self._geometry(x_nodes)
         Nq, _, nql = self._q_tables(method.interp)
         qg = self._q_field(q, method.interp)
-        K_aa, K_bb, K_ab = self._tangent_kernel(g, qg * (self.s0 + self.c0),
-                                                qg * (self.s0 - self.c0))
-        K_aq = np.empty((self.nel, K_aa.shape[1], nql))
-        K_bq = None if not self.two_sided else np.empty(
-            (self.nel, K_bb.shape[1], nql))
-        for l in range(nql):
-            wl = np.broadcast_to(Nq[:, l], (self.nel, self.ngp))
-            fa, fb = self._force_kernel(g, wl * (self.s0 + self.c0),
-                                        wl * (self.s0 - self.c0))
-            K_aq[:, :, l] = fa
-            if self.two_sided:
-                K_bq[:, :, l] = fb
-        return self._lm_force(g, qg, Nq), (K_aa, K_bb, K_ab, K_aq, K_bq)
+        sp, sm = self.s0 + self.c0, self.s0 - self.c0
+        cc, ss = qg * sp, qg * sm
+        f_a, f_b = self._force_kernel(g, cc, ss)
+        f_q = np.matmul(self.wS * self._g_field(g), Nq)
+
+        def finish():
+            K_aa, K_bb, K_ab = self._tangent_kernel(g, cc, ss)
+            K_aq = np.empty((self.nel, K_aa.shape[1], nql))
+            K_bq = None if not self.two_sided else np.empty(
+                (self.nel, K_bb.shape[1], nql))
+            for l in range(nql):
+                wl = np.broadcast_to(Nq[:, l], (self.nel, self.ngp))
+                fa, fb = self._force_kernel(g, wl * sp, wl * sm)
+                K_aq[:, :, l] = fa
+                if self.two_sided:
+                    K_bq[:, :, l] = fb
+            return K_aa, K_bb, K_ab, K_aq, K_bq
+
+        return (f_a, f_b, f_q), finish
 
     def max_angle_deviation(self, x_nodes) -> float:
         """Largest |alpha - alpha0| over the edge, for multiplier validity."""

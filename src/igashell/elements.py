@@ -18,11 +18,13 @@ from dataclasses import fields
 import numpy as np
 
 from .geometry import Mesh, Patch
-from .kinematics import MetricState, surface_vectors_state
+from .kinematics import (MetricState, inverse_metric, surface_basis,
+                         surface_vectors_state)
 
 __all__ = [
     "PatchQuadrature",
     "EdgeQuadrature",
+    "force_pass",
     "internal_forces",
     "total_energy",
     "dead_area_load",
@@ -107,16 +109,6 @@ class _Tables:
         out.nel, out.ngp, out.nloc = out.N.shape
         return out
 
-    def _current(self, x_nodes: np.ndarray):
-        """Current metric state, normal, tangents a_a, raised tangents a^a
-        and second derivatives h of the map at every quadrature point."""
-        xe = x_nodes[self.conn]                             # (nel, nloc, 3)
-        a_vec = _at_points(self.dN, xe)
-        h_vec = _at_points(self.d2N, xe)
-        state, normal = surface_vectors_state(a_vec, h_vec)
-        a_up = np.matmul(state.a_con, a_vec)
-        return state, normal, a_vec, a_up, h_vec
-
 
 class PatchQuadrature(_Tables):
     """Per-element basis tables and reference geometry for one patch.
@@ -157,9 +149,16 @@ class PatchQuadrature(_Tables):
         self.jacA = self.ref_state.jac                      # (nel, ngp)
 
     def current(self, x_nodes: np.ndarray):
-        """Current metric states plus the vectors needed by the B operators."""
-        state, normal, a_vec, a_up, h_vec = self._current(x_nodes)
-        gamma = np.matmul(a_up, h_vec.swapaxes(-1, -2))     # (nel,ngp,2,3ord)
+        """(state, normal, a_vec, a_up, h_vec, gamma) at every quadrature
+        point: the current metric state and normal, the tangents a_a, the
+        raised tangents a^a, the second derivatives h of the map and the
+        Christoffel symbols gamma (nel, ngp, 2, 3) of the B operators."""
+        xe = x_nodes[self.conn]                             # (nel, nloc, 3)
+        a_vec = _at_points(self.dN, xe)
+        h_vec = _at_points(self.d2N, xe)
+        state, normal = surface_vectors_state(a_vec, h_vec)
+        a_up = np.matmul(state.a_con, a_vec)
+        gamma = np.matmul(a_up, h_vec.swapaxes(-1, -2))
         return state, normal, a_vec, a_up, h_vec, gamma
 
 
@@ -240,7 +239,21 @@ def _normal_kron(nrm, X, y):
 def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     """Element internal force vectors and (optionally) consistent tangents.
 
-    Returns (f_el (nel, nd), K_el (nel, nd, nd) or None), nd = 3 nloc.
+    Returns (f_el (nel, nd), K_el (nel, nd, nd) or None), nd = 3 nloc: the
+    forces of ``force_pass`` and, with ``tangent``, its finished tangents.
+    """
+    f_el, finish = force_pass(pq, material, x_nodes)
+    return f_el, (finish() if tangent else None)
+
+
+def force_pass(pq: PatchQuadrature, material, x_nodes):
+    """(f_el, finish): the element internal forces (nel, nd) at x_nodes,
+    and a function of no arguments that returns the element tangents
+    K_el (nel, nd, nd) at the same state from what this pass computed.
+
+    The pass forms the kinematics, the stress resultants and the B
+    operators once; ``finish`` adds the moduli and the stiffness terms and
+    then lets go of B.  Call it at most once.
 
     Every stiffness term is one matmul whose inner dimension is the Gauss
     point axis (times a few rows per point), so the Gauss sum happens inside
@@ -262,22 +275,24 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     # the force vector sums over (g, the 6 strain rows) as one matmul
     f_el = np.matmul((sv * half * w[..., None]).reshape(nel, 1, -1),
                      B.reshape(nel, ngp * 6, -1))[:, 0]
-    if not tangent:
-        return f_el, None
 
-    C, D, E4, F = material.moduli_voigt(ref, state)        # (nel, ngp, 3, 3)
-    M6 = np.empty((nel, ngp, 6, 6))
-    M6[:, :, :3, :3] = 0.25 * C
-    M6[:, :, :3, 3:] = 0.5 * D
-    M6[:, :, 3:, :3] = 0.5 * E4
-    M6[:, :, 3:, 3:] = F
-    T = np.matmul(M6, B)
-    T *= w[..., None, None]
-    K = _gauss_sum(B, T)
-    del B, T        # the largest temporaries; the terms below need neither
-    if sv.any():
-        _add_geometric(K, pq, sv, state, normal, a_up, Nt, w)
-    return f_el, K
+    def finish():
+        nonlocal B
+        C, D, E4, F = material.moduli_voigt(ref, state)    # (nel, ngp, 3, 3)
+        M6 = np.empty((nel, ngp, 6, 6))
+        M6[:, :, :3, :3] = 0.25 * C
+        M6[:, :, :3, 3:] = 0.5 * D
+        M6[:, :, 3:, :3] = 0.5 * E4
+        M6[:, :, 3:, 3:] = F
+        T = np.matmul(M6, B)
+        T *= w[..., None, None]
+        K = _gauss_sum(B, T)
+        del B, T    # the largest temporaries; the terms below need neither
+        if sv.any():
+            _add_geometric(K, pq, sv, state, normal, a_up, Nt, w)
+        return K
+
+    return f_el, finish
 
 
 def _add_geometric(K, pq, sv, state, normal, a_up, Nt, w):
@@ -424,8 +439,15 @@ class EdgeQuadrature(_Tables):
         self.jac_edge0 = np.linalg.norm(self.ref_tangent_vec, axis=-1)
 
     def current(self, x_nodes: np.ndarray):
-        """(state, normal, a_vec, a_up) of ``PatchQuadrature.current``."""
-        return self._current(x_nodes)[:4]
+        """(a_con, jac, normal, a_vec, a_up) at every quadrature point: the
+        first fundamental form, its area factor, the normal, the tangents
+        and the raised tangents, bit for bit those of
+        ``PatchQuadrature.current``.  The edge kernels read no curvature,
+        so no second derivative is formed."""
+        a_vec = _at_points(self.dN, x_nodes[self.conn])
+        a_cov, normal = surface_basis(a_vec)
+        det_a, a_con = inverse_metric(a_cov)
+        return a_con, np.sqrt(det_a), normal, a_vec, np.matmul(a_con, a_vec)
 
 
 def dead_edge_traction(eq: EdgeQuadrature, t):
@@ -451,11 +473,11 @@ def follower_edge_moment(eq: EdgeQuadrature, m: float, x_nodes, tangent=True):
     Positive m rotates the surface edge by the right-hand rule about the
     tangent that points along increasing edge parameter.
     """
-    state, normal, a_vec, a_up = eq.current(x_nodes)
+    a_con, jac, normal, a_vec, a_up = eq.current(x_nodes)
     eps_col = _EPS2[:, eq.xi_dir]                           # eps[d, xi]
-    P = np.matmul(state.a_con, eps_col)
+    P = np.matmul(a_con, eps_col)
     q = _surface_sum(eq.dN, P)                              # (nel, ngp, nloc)
-    w = eq.wq * state.jac
+    w = eq.wq * jac
     f_el = -m * _point_sum(q, normal, w)
     f_el = f_el.reshape(eq.nel, -1)
     if not tangent:
@@ -468,7 +490,7 @@ def follower_edge_moment(eq: EdgeQuadrature, m: float, x_nodes, tangent=True):
     K3 = _normal_kron(normal, u * w[..., None, None], q)
     K_el = (-m) * (_gauss_sum(_kron_rows(qw, normal[:, :, None, :]),
                               u.reshape(eq.nel, eq.ngp, 1, -1))
-                   - _metric_kron(eq.dN, state.a_con * w[..., None, None],
+                   - _metric_kron(eq.dN, a_con * w[..., None, None],
                                   normal, eq.dN, Pa)
                    - K3 - K3.swapaxes(1, 2))
     return f_el, K_el

@@ -18,7 +18,9 @@ __all__ = [
     "cross3",
     "dot3",
     "ddot22",
+    "surface_basis",
     "surface_vectors_state",
+    "inverse_metric",
     "det22",
     "inv22",
     "raise2",
@@ -27,6 +29,8 @@ __all__ = [
     "tens4_to_voigt",
     "outer4",
     "sym4",
+    "outer_voigt",
+    "sym_voigt",
     "layer_coefficients",
     "layer_metric",
 ]
@@ -110,6 +114,25 @@ def sym4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
                   + A[..., :, None, None, :] * B[..., None, :, :, None])
 
 
+# first and second index of each Voigt pair, as rows (a, b) and columns
+# (c, d) of a Voigt matrix
+_VA, _VB = np.array(_VOIGT_PAIRS).T[:, :, None]
+_VC, _VD = np.array(_VOIGT_PAIRS).T[:, None, :]
+
+
+def outer_voigt(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``tens4_to_voigt(outer4(A, B))`` bit for bit, formed on the 9 Voigt
+    pairs only."""
+    return A[..., _VA, _VB] * B[..., _VC, _VD]
+
+
+def sym_voigt(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``tens4_to_voigt(sym4(A, B))`` bit for bit, formed on the 9 Voigt
+    pairs only."""
+    return 0.5 * (A[..., _VA, _VC] * B[..., _VB, _VD]
+                  + A[..., _VA, _VD] * B[..., _VB, _VC])
+
+
 @dataclass
 class MetricState:
     """First and second fundamental forms with the usual derived fields."""
@@ -129,17 +152,35 @@ class MetricState:
         return 2.0 * self.H[..., None, None] * self.a_con - self.b_con
 
 
-def metric_state(a_cov: np.ndarray, b_cov: np.ndarray) -> MetricState:
-    a_cov = np.asarray(a_cov, dtype=float)
-    b_cov = np.asarray(b_cov, dtype=float)
+def inverse_metric(a_cov: np.ndarray):
+    """(det a, a^{ab}) of a covariant metric; raises ValueError where it is
+    degenerate."""
     det_a = det22(a_cov)
     if np.any(det_a <= 0.0):
         raise ValueError("degenerate surface metric (det <= 0)")
-    a_con = inv22(a_cov)
+    return det_a, inv22(a_cov)
+
+
+def metric_state(a_cov: np.ndarray, b_cov: np.ndarray) -> MetricState:
+    a_cov = np.asarray(a_cov, dtype=float)
+    b_cov = np.asarray(b_cov, dtype=float)
+    det_a, a_con = inverse_metric(a_cov)
     b_con = raise2(a_con, b_cov)
     H = 0.5 * ddot22(a_con, b_cov)
     kappa = det22(b_cov) / det_a
     return MetricState(a_cov, b_cov, a_con, det_a, np.sqrt(det_a), b_con, H, kappa)
+
+
+def surface_basis(a_vec: np.ndarray):
+    """(a_cov (..., 2, 2), normal (..., 3)): the covariant metric and unit
+    normal of the covariant tangents a_vec (..., 2, 3)."""
+    a1, a2 = a_vec[..., 0, :], a_vec[..., 1, :]
+    a_cov = np.empty(a_vec.shape[:-2] + (2, 2))
+    a_cov[..., 0, 0] = dot3(a1, a1)
+    a_cov[..., 1, 1] = dot3(a2, a2)
+    a_cov[..., 0, 1] = a_cov[..., 1, 0] = dot3(a1, a2)
+    cr = cross3(a1, a2)
+    return a_cov, cr / np.sqrt(dot3(cr, cr))[..., None]
 
 
 def surface_vectors_state(a_vec: np.ndarray, h_vec: np.ndarray):
@@ -150,13 +191,7 @@ def surface_vectors_state(a_vec: np.ndarray, h_vec: np.ndarray):
 
     Returns (state, normal) where normal is (..., 3).
     """
-    a1, a2 = a_vec[..., 0, :], a_vec[..., 1, :]
-    a_cov = np.empty(a_vec.shape[:-2] + (2, 2))
-    a_cov[..., 0, 0] = dot3(a1, a1)
-    a_cov[..., 1, 1] = dot3(a2, a2)
-    a_cov[..., 0, 1] = a_cov[..., 1, 0] = dot3(a1, a2)
-    cr = cross3(a1, a2)
-    normal = cr / np.sqrt(dot3(cr, cr))[..., None]
+    a_cov, normal = surface_basis(a_vec)
     b_flat = dot3(h_vec, normal[..., None, :])          # (11, 22, 12)
     b_cov = from_voigt(b_flat)
     return metric_state(a_cov, b_cov), normal

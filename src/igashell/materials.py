@@ -10,7 +10,9 @@ together with the four tangent blocks
 
     c = 2 dtau/da,  d = dtau/db,  e = 2 dM0/da,  f = dM0/db,
 
-returned in raw Voigt (11, 22, 12) ordering.  ``d`` and ``e`` satisfy
+returned in raw Voigt (11, 22, 12) ordering.  The direct laws (Koiter,
+Canham, Mixed) form only those 3 x 3 entries; the thickness-integrated one
+builds the fourth-order tensors and converts them.  ``d`` and ``e`` satisfy
 d^{abgd} = e^{gdab} whenever the stress derives from a potential; the
 thickness-integrated model with exact area prefactors intentionally loses
 the major symmetries of c and f.
@@ -30,8 +32,10 @@ from .kinematics import (
     layer_metric,
     metric_state,
     outer4,
+    outer_voigt,
     raise2,
     sym4,
+    sym_voigt,
     tens4_to_voigt,
 )
 
@@ -68,6 +72,8 @@ class ShellMaterial:
         raise NotImplementedError
 
     def moduli(self, ref: MetricState, cur: MetricState):
+        """(c4, d4, e4, f4) as fourth-order tensors, for a law that forms
+        them so; the direct laws override ``moduli_voigt`` instead."""
         raise NotImplementedError
 
     def energy(self, ref: MetricState, cur: MetricState):
@@ -83,6 +89,7 @@ class ShellMaterial:
         return _pack_stress(tau, M0)
 
     def moduli_voigt(self, ref, cur):
+        """(C, D, E4, F), each (..., 3, 3) in raw Voigt order."""
         c4, d4, e4, f4 = self.moduli(ref, cur)
         return (tens4_to_voigt(c4), tens4_to_voigt(d4),
                 tens4_to_voigt(e4), tens4_to_voigt(f4))
@@ -129,11 +136,11 @@ class KoiterMaterial(ShellMaterial):
         M0 = bend * (self.lam * trK[..., None, None] * A + 2.0 * self.mu * K_up)
         return tau, M0
 
-    def moduli(self, ref, cur):
+    def moduli_voigt(self, ref, cur):
         A = ref.a_con
-        c4 = self.lam * outer4(A, A) + 2.0 * self.mu * sym4(A, A)
-        zero = np.zeros_like(c4)
-        return c4, zero, zero, self.thickness ** 2 / 12.0 * c4
+        C = self.lam * outer_voigt(A, A) + 2.0 * self.mu * sym_voigt(A, A)
+        zero = np.zeros_like(C)
+        return C, zero, zero, self.thickness ** 2 / 12.0 * C
 
     def energy(self, ref, cur):
         E, K = self._strains(ref, cur)
@@ -167,27 +174,26 @@ class CanhamMaterial(ShellMaterial):
         M0 = self.bend * Jn * cur.b_con
         return tau, M0
 
-    def moduli(self, ref, cur):
+    def moduli_voigt(self, ref, cur):
         J, _ = self._invariants(ref, cur)
         a, b = cur.a_con, cur.b_con
-        H = cur.H[..., None]
-        S = sym4(a, a)
-        T4 = sym4(a, b) + sym4(b, a)
-        J2 = (J ** 2)[..., None, None, None, None]
-        Hn = cur.H[..., None, None, None, None]
-        kn = cur.kappa[..., None, None, None, None]
-        Jn = J[..., None, None, None, None]
-        c4 = (self.lam * (J2 * outer4(a, a) - (J2 - 1.0) * S)
-              + 2.0 * self.mu * S
-              + self.bend * Jn * ((2.0 * Hn ** 2 - kn) * outer4(a, a)
-                                  - 4.0 * Hn * (outer4(a, b) + outer4(b, a))
-                                  - 2.0 * (2.0 * Hn ** 2 + kn) * S
-                                  + 4.0 * outer4(b, b) + 8.0 * Hn * T4))
-        d4 = self.bend * Jn * (4.0 * Hn * outer4(a, a) - outer4(a, b)
-                               - 2.0 * outer4(b, a) - 4.0 * Hn * S)
-        e4 = self.bend * Jn * (outer4(b, a) - 2.0 * T4)
-        f4 = self.bend * Jn * S
-        return c4, d4, e4, f4
+        S = sym_voigt(a, a)
+        T4 = sym_voigt(a, b) + sym_voigt(b, a)
+        aa, ab, ba = outer_voigt(a, a), outer_voigt(a, b), outer_voigt(b, a)
+        J2 = (J ** 2)[..., None, None]
+        Hn = cur.H[..., None, None]
+        kn = cur.kappa[..., None, None]
+        Jn = J[..., None, None]
+        C = (self.lam * (J2 * aa - (J2 - 1.0) * S)
+             + 2.0 * self.mu * S
+             + self.bend * Jn * ((2.0 * Hn ** 2 - kn) * aa
+                                 - 4.0 * Hn * (ab + ba)
+                                 - 2.0 * (2.0 * Hn ** 2 + kn) * S
+                                 + 4.0 * outer_voigt(b, b) + 8.0 * Hn * T4))
+        D = self.bend * Jn * (4.0 * Hn * aa - ab - 2.0 * ba - 4.0 * Hn * S)
+        E4 = self.bend * Jn * (ba - 2.0 * T4)
+        F = self.bend * Jn * S
+        return C, D, E4, F
 
     def energy(self, ref, cur):
         J, I1 = self._invariants(ref, cur)
@@ -217,15 +223,15 @@ class MixedMaterial(ShellMaterial):
         _, M0 = self._bending.stress(ref, cur)
         return tau, M0
 
-    def moduli(self, ref, cur):
+    def moduli_voigt(self, ref, cur):
         J = cur.jac / ref.jac
         a = cur.a_con
-        S = sym4(a, a)
-        J2 = (J ** 2)[..., None, None, None, None]
-        c4 = self.lam * (J2 * outer4(a, a) - (J2 - 1.0) * S) + 2.0 * self.mu * S
-        zero = np.zeros_like(c4)
-        _, _, _, f4 = self._bending.moduli(ref, cur)
-        return c4, zero, zero, f4
+        S = sym_voigt(a, a)
+        J2 = (J ** 2)[..., None, None]
+        C = (self.lam * (J2 * outer_voigt(a, a) - (J2 - 1.0) * S)
+             + 2.0 * self.mu * S)
+        zero = np.zeros_like(C)
+        return C, zero, zero, self._bending.moduli_voigt(ref, cur)[3]
 
     def energy(self, ref, cur):
         K = cur.b_cov - ref.b_cov

@@ -78,12 +78,12 @@ def assemble_matrix(n_dofs, triples):
 
 
 def penalty_force_global(con, mesh, x, method):
-    f_a, f_b = con.penalty_force(x, method)
+    (f_a, f_b), _ = con.penalty_pass(x, method)
     return assemble_force(mesh.n_dofs, [(con.edof_a, f_a), (con.edof_b, f_b)])
 
 
 def penalty_tangent_global(con, mesh, x, method):
-    _, (K_aa, K_bb, K_ab) = con.penalty_tangent(x, method)
+    K_aa, K_bb, K_ab = con.penalty_pass(x, method)[1]()
     triples = [(con.edof_a, con.edof_a, K_aa)]
     if K_bb is not None:
         triples += [(con.edof_b, con.edof_b, K_bb),
@@ -183,10 +183,14 @@ def test_penalty_tangent_matches_fd_extra_gauss(name, mesh, con):
 
 
 def test_penalty_tangent_force_is_penalty_force():
+    """Finishing a penalty pass's stiffness leaves its forces as they were,
+    since the model scatters them after finishing."""
     _, mesh, con = two_sided_cases()[0]
     x = perturbed(mesh)
-    forces, _ = con.penalty_tangent(x, Penalty(3.0))
-    for f_t, f in zip(forces, con.penalty_force(x, Penalty(3.0))):
+    forces, finish = con.penalty_pass(x, Penalty(3.0))
+    before = [f.copy() for f in forces]
+    finish()
+    for f_t, f in zip(forces, before):
         assert np.array_equal(f_t, f)
 
 
@@ -271,7 +275,7 @@ def check_multiplier_saddle(mesh, con, interp):
 
     def residual(z):
         xz, qz = split(z)
-        f_a, f_b, f_q = con.lm_force(xz, qz, method)
+        (f_a, f_b, f_q), _ = con.lm_pass(xz, qz, method)
         r = np.zeros(nd + nq)
         np.add.at(r, con.edof_a.ravel(), f_a.ravel())
         np.add.at(r, con.edof_b.ravel(), f_b.ravel())
@@ -289,8 +293,10 @@ def check_multiplier_saddle(mesh, con, interp):
     err_r = np.abs(r0 - g).max() / np.abs(g).max()
     assert err_r < 1e-6, f"multiplier residual vs energy gradient {err_r:.2e}"
 
-    forces, (K_aa, K_bb, K_ab, K_aq, K_bq) = con.lm_tangent(x, q, method)
-    for f_t, f in zip(forces, con.lm_force(x, q, method)):
+    forces, finish = con.lm_pass(x, q, method)
+    before = [f.copy() for f in forces]
+    K_aa, K_bb, K_ab, K_aq, K_bq = finish()
+    for f_t, f in zip(forces, before):
         assert np.array_equal(f_t, f)
     _, qconn, _ = con._q_tables(interp)
     qdof = nd + qconn

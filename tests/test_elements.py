@@ -28,7 +28,7 @@ from igashell.elements import (
 from igashell.geometry import (Mesh, make_cylinder_panel, make_folded_strip,
                                make_plate, make_sphere_panel)
 from igashell.kinematics import (ddot22, dot3, from_voigt, outer4, raise2,
-                                 sym4)
+                                 surface_vectors_state, sym4)
 from igashell.materials import (CanhamMaterial, KoiterMaterial,
                                 ProjectedNeoHooke, _ddot4)
 from oracles import fd_gradient, fd_jacobian
@@ -204,7 +204,15 @@ def test_point_contractions_match_einsum(which):
     q = pq if which == "patch" else eq
     xe = x[q.conn]
     a_vec, h_vec = _at_points(q.dN, xe), _at_points(q.d2N, xe)
-    state, normal, _, a_up, _ = q._current(x)
+    if which == "patch":
+        state, normal, _, a_up, _, _ = pq.current(x)
+    else:
+        state, normal = surface_vectors_state(a_vec, h_vec)
+        a_up = np.matmul(state.a_con, a_vec)
+        # the edge tables form the first fundamental form only, bit for bit
+        for got, want in zip(eq.current(x), (state.a_con, state.jac, normal,
+                                             a_vec, a_up)):
+            assert np.array_equal(got, want)
     A, b = state.a_con, state.b_cov
     cr = np.cross(a_vec[..., 0, :], a_vec[..., 1, :])
     rng = np.random.default_rng(4)

@@ -5,10 +5,13 @@ tangent blocks against central differences of the stress map, using the
 conventions encoded in oracles.py.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from igashell.kinematics import metric_state
+from igashell.kinematics import (MetricState, metric_state, outer4, sym4,
+                                 tens4_to_voigt)
 from igashell.materials import (
     CanhamMaterial,
     KoiterMaterial,
@@ -80,17 +83,72 @@ def test_reference_state_is_stress_free(name, mat):
         f"{name}: nonzero stress at the undeformed state: {sv}")
 
 
-@pytest.mark.parametrize("name,mat", [m for m in MATERIALS if "projected" not in m[0]],
-                         ids=[n for n, _ in MATERIALS if "projected" not in n])
+DIRECT = [m for m in MATERIALS if "projected" not in m[0]]
+
+
+@pytest.mark.parametrize("name,mat", DIRECT, ids=[n for n, _ in DIRECT])
 def test_cross_moduli_are_adjoint(name, mat):
-    # d and e come from one potential, so d^{abgd} = e^{gdab}
+    # d and e come from one potential, so d^{abgd} = e^{gdab}, which reads
+    # D = E4^T in raw Voigt form; c and f have major symmetry, C = C^T and
+    # F = F^T
     rng = np.random.default_rng(11)
     for _ in range(10):
         ref, cur = random_state_pair(rng)
-        c4, d4, e4, f4 = mat.moduli(ref, cur)
-        assert np.allclose(d4, np.transpose(e4, (2, 3, 0, 1)), atol=1e-12), name
-        assert np.allclose(c4, np.transpose(c4, (2, 3, 0, 1)), atol=1e-12), name
-        assert np.allclose(f4, np.transpose(f4, (2, 3, 0, 1)), atol=1e-12), name
+        C, D, E4, F = mat.moduli_voigt(ref, cur)
+        assert np.allclose(D, np.swapaxes(E4, -1, -2), atol=1e-12), name
+        assert np.allclose(C, np.swapaxes(C, -1, -2), atol=1e-12), name
+        assert np.allclose(F, np.swapaxes(F, -1, -2), atol=1e-12), name
+
+
+def fourth_order_moduli(mat, ref, cur):
+    """(c4, d4, e4, f4) of a direct law as fourth-order tensors, built from
+    ``outer4`` and ``sym4``."""
+    if isinstance(mat, KoiterMaterial):
+        A = ref.a_con
+        c4 = mat.lam * outer4(A, A) + 2.0 * mat.mu * sym4(A, A)
+        zero = np.zeros_like(c4)
+        return c4, zero, zero, mat.thickness ** 2 / 12.0 * c4
+    J = cur.jac / ref.jac
+    a, b = cur.a_con, cur.b_con
+    S = sym4(a, a)
+    J2 = (J ** 2)[..., None, None, None, None]
+    if isinstance(mat, MixedMaterial):
+        c4 = mat.lam * (J2 * outer4(a, a) - (J2 - 1.0) * S) + 2.0 * mat.mu * S
+        zero = np.zeros_like(c4)
+        f4 = fourth_order_moduli(mat._bending, ref, cur)[3]
+        return c4, zero, zero, f4
+    T4 = sym4(a, b) + sym4(b, a)
+    Hn = cur.H[..., None, None, None, None]
+    kn = cur.kappa[..., None, None, None, None]
+    Jn = J[..., None, None, None, None]
+    c4 = (mat.lam * (J2 * outer4(a, a) - (J2 - 1.0) * S)
+          + 2.0 * mat.mu * S
+          + mat.bend * Jn * ((2.0 * Hn ** 2 - kn) * outer4(a, a)
+                             - 4.0 * Hn * (outer4(a, b) + outer4(b, a))
+                             - 2.0 * (2.0 * Hn ** 2 + kn) * S
+                             + 4.0 * outer4(b, b) + 8.0 * Hn * T4))
+    d4 = mat.bend * Jn * (4.0 * Hn * outer4(a, a) - outer4(a, b)
+                          - 2.0 * outer4(b, a) - 4.0 * Hn * S)
+    e4 = mat.bend * Jn * (outer4(b, a) - 2.0 * T4)
+    f4 = mat.bend * Jn * S
+    return c4, d4, e4, f4
+
+
+@pytest.mark.parametrize("name,mat", DIRECT, ids=[n for n, _ in DIRECT])
+def test_voigt_moduli_equal_the_fourth_order_forms(name, mat):
+    """The direct laws form their Voigt moduli on the 9 Voigt pairs with the
+    per-entry arithmetic of the fourth-order forms, so they agree bit for
+    bit, on one point and on a batch."""
+    rng = np.random.default_rng(19)
+    pairs = [random_state_pair(rng) for _ in range(6)]
+    batch = [MetricState(*(np.stack([getattr(st, f.name) for st in states])
+                           for f in fields(MetricState)))
+             for states in zip(*pairs)]
+    for ref, cur in pairs + [tuple(batch)]:
+        got = mat.moduli_voigt(ref, cur)
+        want = fourth_order_moduli(mat, ref, cur)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, tens4_to_voigt(w)), name
 
 
 def test_plane_stress_condition_projected():

@@ -229,9 +229,14 @@ def with_reference(stacked, tables):
 
 
 def assert_reference_state(q, X):
-    state, normal = q._current(X)[:2]
-    for cur, ref in ((state.a_cov, q.ref_state.a_cov),
-                     (state.b_cov, q.ref_state.b_cov), (normal, q.ref_normal)):
+    if isinstance(q, PatchQuadrature):
+        state, normal = q.current(X)[:2]
+        pairs = [(state.a_cov, q.ref_state.a_cov),
+                 (state.b_cov, q.ref_state.b_cov)]
+    else:
+        a_con, jac, normal = q.current(X)[:3]
+        pairs = [(a_con, q.ref_state.a_con), (jac, q.ref_state.jac)]
+    for cur, ref in pairs + [(normal, q.ref_normal)]:
         assert np.array_equal(cur, ref)
 
 
@@ -342,18 +347,14 @@ def reference_assemble(model, x, q, lam, tangent):
     for (con, method), off in zip(model.constraints, offsets):
         K_aa = K_bb = K_ab = K_aq = K_bq = f_q = qdof = None
         if isinstance(method, Penalty):
+            (f_a, f_b), finish = con.penalty_pass(x, method)
             if tangent:
-                (f_a, f_b), (K_aa, K_bb, K_ab) = con.penalty_tangent(
-                    x, method)
-            else:
-                f_a, f_b = con.penalty_force(x, method)
+                K_aa, K_bb, K_ab = finish()
         else:
             qc = q[off:off + con.n_multipliers(method)]
+            (f_a, f_b, f_q), finish = con.lm_pass(x, qc, method)
             if tangent:
-                (f_a, f_b, f_q), (K_aa, K_bb, K_ab, K_aq, K_bq) = \
-                    con.lm_tangent(x, qc, method)
-            else:
-                f_a, f_b, f_q = con.lm_force(x, qc, method)
+                K_aa, K_bb, K_ab, K_aq, K_bq = finish()
             qdof = nd + off + con._q_tables(method.interp)[1]
         a, b = con.edof_a, con.edof_b
         for dofs, fe in ((a, f_a), (b, f_b), (qdof, f_q)):
@@ -585,3 +586,113 @@ def test_every_tangent_is_factorized(monkeypatch):
     assert len(hist) == 2
     assert counts["tangents"] == counts["factorizations"] > 2
     assert sum(h.iterations for h in hist) == counts["tangents"]
+
+
+# -- one kernel pass per configuration ---------------------------------------
+
+
+def counted_passes(monkeypatch):
+    """A list that grows by one entry per patch-kernel pass of a model."""
+    calls = []
+    force_pass = solver_mod.force_pass
+
+    def counting_pass(*args):
+        calls.append(args)
+        return force_pass(*args)
+
+    monkeypatch.setattr(solver_mod, "force_pass", counting_pass)
+    return calls
+
+
+def n_patch_blocks(model):
+    return sum(method is None for _, method in model._current_layout().blocks)
+
+
+def test_one_patch_pass_per_configuration(monkeypatch):
+    """Newton's tangent at an accepted trial point finishes the residual
+    pass made there, so a solve makes one patch-kernel pass per
+    configuration it visits, with the assemblies of one pass per call."""
+    passes = counted_passes(monkeypatch)
+    calls = []
+    assemble = Model.assemble
+
+    def recording_assemble(self, x, q, lam, tangent=True):
+        calls.append((x.tobytes() + q.tobytes(), tangent))
+        return assemble(self, x, q, lam, tangent)
+
+    monkeypatch.setattr(Model, "assemble", recording_assemble)
+    model = build_hemisphere_hole(2, 4)
+    solve(model, n_steps=8)
+    n_tangent = sum(tangent for _, tangent in calls)
+    assert (n_tangent, len(calls) - n_tangent) == (31, 31)
+    assert len(passes) == n_patch_blocks(model) * len(
+        {config for config, _ in calls})
+
+
+def perturbed_state(model, seed=3):
+    rng = np.random.default_rng(seed)
+    x = model.mesh.node_coords + 1e-3 * model.mesh.bbox_diag() * \
+        rng.standard_normal(model.mesh.node_coords.shape)
+    return x, rng.standard_normal(model.multiplier_layout()[0])
+
+
+def assert_same_assembly(got, want):
+    (r, K, f_ext), (r0, K0, f_ext0) = got, want
+    assert np.array_equal(r, r0) and np.array_equal(f_ext, f_ext0)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, name), getattr(K0, name))
+
+
+def hemisphere_hole_small():
+    return build_hemisphere_hole(2, 4)
+
+
+def multiplier_strip_small():
+    return build_bending_folded(1, 2, ("lm", "n2q1c"))[0]
+
+
+@pytest.mark.parametrize("build", [hemisphere_hole_small,
+                                   multiplier_strip_small],
+                         ids=["hemisphere", "multiplier_strip"])
+def test_finished_pass_is_a_fresh_tangent(monkeypatch, build):
+    """A tangent finished from a kept residual pass runs no kernel and
+    equals a fresh model's r and K bit for bit."""
+    passes = counted_passes(monkeypatch)
+    model = build()
+    x, q = perturbed_state(model)
+    model.assemble(x, q, 0.7, tangent=False)
+    n = len(passes)
+    got = model.assemble(x, q, 0.7)
+    assert len(passes) == n
+    assert_same_assembly(got, build().assemble(x, q, 0.7))
+
+
+def nudged(a):
+    """a with its first entry one ulp up, changed in place."""
+    a.flat[0] = np.nextafter(a.flat[0], np.inf)
+    return a
+
+
+@pytest.mark.parametrize("change", ["x", "q", "constraint"])
+def test_kept_pass_serves_only_its_configuration(monkeypatch, change):
+    """One ulp in the caller's x or q, changed in place after the pass, or a
+    constraint added after it, makes the tangent run every kernel again,
+    and it equals a fresh model's."""
+    passes = counted_passes(monkeypatch)
+    build = (hemisphere_hole_small if change == "x"
+             else multiplier_strip_small)
+    model, fresh = build(), build()
+    x, q = perturbed_state(model)
+    model.assemble(x, q, 0.7, tangent=False)
+    if change == "x":
+        nudged(x)
+    elif change == "q":
+        nudged(q)
+    else:
+        for m in (model, fresh):
+            m.add_constraint(RotationConstraint.fixed(m.mesh, 0, "v0"),
+                             Penalty(5.0))
+    n = len(passes)
+    got = model.assemble(x, q, 0.7)
+    assert len(passes) == n + n_patch_blocks(model)
+    assert_same_assembly(got, fresh.assemble(x, q, 0.7))
