@@ -469,9 +469,9 @@ def build_hemisphere_hole(degree=2, n=16):
 
     The symmetry penalty is kept at the bending-compatible scale 0.2 E: the
     recovered displacements are penalty-insensitive over at least two decades
-    around it (five matching digits), while scales of order 1e3 E push the
-    second-order constraint violation of every Newton trial step far above
-    the load scale and make the increments numerically unsolvable.
+    around it (five matching digits), while at scales of order 1e3 E Newton
+    stalls on a round-off floor near 3e-5 of the load, far above the
+    tolerance, and the increments are numerically unsolvable.
     """
     model = build_hemisphere_linear(degree, n, "koiter", hole_deg=18.0)
     # replace the linear-case loads and penalty with the nonlinear recipe

@@ -29,13 +29,48 @@ which is what differentiating q g produces.
 
 Recovered constraint moment about the edge tangent: m_tau = eps sin(alpha -
 alpha0) for the penalty and m_tau = -q for the multiplier method.
+
+Mixed integration point (MIP) tangent of the penalty.  Newton's first
+update of a load step overshoots the penalty's second-order angle
+violation, so the constraint force alone can send the residual up by
+orders of magnitude.  The MIP Newton (Magisano, Leonetti and Garcea, CMAME
+313 (2017) 986-1005) makes the point moment an independent unknown of the
+linearization and condenses it point by point: only the tangent changes,
+the residual and the converged state stay those of the displacement form.
+With delta = alpha - alpha0 the penalty density is eps (1 - cos delta) =
+eps e^2 / 2, e = 2 sin(delta / 2), and its MIP tangent at the point moment
+m is
+
+    eps de (x) de + m d2e = P dalpha (x) dalpha + Q d2alpha,
+    P = eps cos^2(delta/2) - m sin(delta/2) / 2,   Q = m cos(delta/2).
+
+``_tangent_kernel`` is linear in its coefficient fields and, with (cc, ss)
+frozen and (cos alpha, sin alpha) a unit pair, equals cc (cos alpha
+dalpha (x) dalpha + sin alpha d2alpha) + ss (sin alpha dalpha (x) dalpha -
+cos alpha d2alpha).  So the MIP tangent is the same kernel with the
+per-point coefficients
+
+    cc = P c^ + Q s^,   ss = P s^ - Q c^,   (c^, s^) = (C, S) / rho,
+
+where C and S are ``_EdgeGeometry.cosa`` and ``sina`` and rho = |(C, S)|.
+At m = eps e(x) these are (eps c0, eps s0), the displacement tangent's.  On
+an interface rho = 1.  With a fixed mate, nt need not be normal to the
+current edge tangent, so rho < 1, and without the normalisation that
+identity would be off by the factor rho (by 3e-2 on the perturbed clamp of
+the constraint tests).
+
+The moment of the next tangent is predicted linearly along the Newton
+update du from the tangent's configuration, m = eps (e + cos(delta/2)
+dalpha . du) (``penalty_pass``), with dalpha = (C dS - S dC) / rho^2 formed
+per point from the force kernel's terms (``angle_rate``).  ``solver._newton``
+resets m to eps e(x) at the start of every load step attempt.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (EdgeQuadrature, _gauss_sum, _kron_rows,
+from .elements import (EdgeQuadrature, _at_points, _gauss_sum, _kron_rows,
                        _metric_kron, _normal_kron, _point_sum, _surface_sum,
                        gauss_01)
 from .kinematics import cross3, dot3
@@ -68,10 +103,12 @@ class Multiplier:
 
 
 class _EdgeGeometry:
-    """Per-gauss-point current quantities shared by force and tangent kernels."""
+    """Per-gauss-point current quantities shared by force and tangent
+    kernels, with the products n x nt and nt x tau that every kernel call
+    on it reads."""
 
     __slots__ = ("n", "nt", "tau", "alen", "aup_a", "acon_a", "aup_b",
-                 "acon_b", "cosa", "sina")
+                 "acon_b", "nxnt", "nut", "cosa", "sina")
 
     def __init__(self, n, nt, tau, alen, aup_a, acon_a, aup_b, acon_b):
         self.n = n
@@ -82,8 +119,10 @@ class _EdgeGeometry:
         self.acon_a = acon_a
         self.aup_b = aup_b
         self.acon_b = acon_b
+        self.nxnt = cross3(n, nt)
+        self.nut = -cross3(tau, nt)
         self.cosa = dot3(n, nt)
-        self.sina = dot3(cross3(n, nt), tau)
+        self.sina = dot3(self.nxnt, tau)
 
 
 class RotationConstraint:
@@ -261,28 +300,64 @@ class RotationConstraint:
     # shared force / tangent kernels; cc, ss are the effective coefficient
     # fields (penalty: eps*c0, eps*s0; multiplier: q(s0+c0), q(s0-c0))
 
+    def _point_terms(self, g: _EdgeGeometry, cc, ss):
+        """(dta, Mth, dab): the per-point vectors of the force kernel.
+
+        The kernel's variation -(cc dC + ss dS) at one point is, for a
+        variation dx of the nodes, dta . (n . da) - Mth . da_xi + dab .
+        (nt . db), with da (db) the variations of the side-a (side-b)
+        tangent vectors and da_xi the running one; dab is None on a
+        one-sided edge.
+        """
+        theta = ss[..., None] * g.nxnt
+        Mth = (theta - g.tau * dot3(g.tau, theta)[..., None]) / g.alen[..., None]
+        dt = cc[..., None] * g.nt + ss[..., None] * g.nut
+        dta = dot3(g.aup_a, dt[:, :, None, :])
+        dab = None
+        if self.two_sided:
+            nu = cross3(g.tau, g.n)
+            dd = cc[..., None] * g.n + ss[..., None] * nu
+            dab = dot3(g.aup_b, dd[:, :, None, :])
+        return dta, Mth, dab
+
     def _force_kernel(self, g: _EdgeGeometry, cc, ss):
         dNa = self.eq_a.dN
         dXi = dNa[..., self.eq_a.xi_dir]
-        nxnt = cross3(g.n, g.nt)
-        theta = ss[..., None] * nxnt
-        Mth = (theta - g.tau * dot3(g.tau, theta)[..., None]) / g.alen[..., None]
-        nut = -cross3(g.tau, g.nt)
-        dt = cc[..., None] * g.nt + ss[..., None] * nut
-        dta = dot3(g.aup_a, dt[:, :, None, :])
+        dta, Mth, dab = self._point_terms(g, cc, ss)
         # f_a[n, i] = sum_g wS ((dN dta)[n] n_i - dXi[n] Mth_i): one matmul
         # with the Gauss sum inner per term
         f_a = (_point_sum(_surface_sum(dNa, dta), g.n, self.wS)
                - _point_sum(dXi, Mth, self.wS))
         f_b = None
         if self.two_sided:
-            nu = cross3(g.tau, g.n)
-            dd = cc[..., None] * g.n + ss[..., None] * nu
-            dab = dot3(g.aup_b, dd[:, :, None, :])
             f_b = _point_sum(_surface_sum(self.eq_b.dN, dab), g.nt, self.wS)
         na = f_a.shape[1]
         return f_a.reshape(self.nel, 3 * na), (
             None if f_b is None else f_b.reshape(self.nel, -1))
+
+    def angle_rate(self, g: _EdgeGeometry, du_nodes):
+        """dalpha . du at every point, (nel, ngp), for the node update
+        du_nodes (n_nodes, 3): the force kernel's point terms with (cc, ss)
+        = (S, -C) / rho^2, which make -(cc dC + ss dS) = (C dS - S dC) /
+        rho^2 = dalpha, contracted with du before any Gauss sum."""
+        rho2 = g.cosa ** 2 + g.sina ** 2
+        dta, Mth, dab = self._point_terms(g, g.sina / rho2, -g.cosa / rho2)
+        da = _at_points(self.eq_a.dN, du_nodes[self.eq_a.conn])
+        rate = (np.sum(dta * dot3(g.n[:, :, None, :], da), axis=-1)
+                - dot3(Mth, da[:, :, self.eq_a.xi_dir]))
+        if self.two_sided:
+            db = _at_points(self.eq_b.dN, du_nodes[self.eq_b.conn])
+            rate += np.sum(dab * dot3(g.nt[:, :, None, :], db), axis=-1)
+        return rate
+
+    def _half_angle(self, g: _EdgeGeometry):
+        """(c^, s^, cos(delta/2), sin(delta/2)) at every point: the unit
+        direction of (C, S) and the half deviation from the rest angle."""
+        rho = np.hypot(g.cosa, g.sina)
+        ch, sh = g.cosa / rho, g.sina / rho
+        delta = np.arctan2(sh * self.c0 - ch * self.s0,
+                           ch * self.c0 + sh * self.s0)
+        return ch, sh, np.cos(0.5 * delta), np.sin(0.5 * delta)
 
     def _tangent_kernel(self, g: _EdgeGeometry, cc, ss):
         """Stiffness blocks (K_aa, K_bb, K_ab) of the force kernel.
@@ -308,10 +383,8 @@ class RotationConstraint:
         w4 = wS[..., None, None]
         eye = np.eye(3)
 
-        nxnt = cross3(n, nt)
-        theta = ss[..., None] * nxnt
-        nut = -cross3(tau, nt)
-        dt = cc[..., None] * nt + ss[..., None] * nut
+        theta = ss[..., None] * g.nxnt
+        dt = cc[..., None] * nt + ss[..., None] * g.nut
         dta = dot3(g.aup_a, dt[:, :, None, :])
         dtn = dot3(dt, n)
 
@@ -370,14 +443,34 @@ class RotationConstraint:
         return method.epsilon * float(np.sum(self.wS * dens))
 
     def penalty_pass(self, x_nodes, method: Penalty):
-        """((f_a, f_b), finish): the penalty forces at x_nodes, and a
-        function of no arguments that returns (K_aa, K_bb, K_ab) from the
-        same geometry evaluation."""
+        """((f_a, f_b), finish): the penalty forces at x_nodes, and the
+        finisher, which builds the stiffness from the same geometry
+        evaluation.
+
+        finish(m=None) returns (K_aa, K_bb, K_ab, predict).  With m None
+        the blocks are the displacement tangent; with a moment field m
+        (nel, ngp) they are the MIP tangent at m (module docstring), which
+        is the displacement tangent to round-off at m = eps e(x_nodes).
+        predict(du_nodes) returns the moment field for the next tangent,
+        eps (e + cos(delta/2) dalpha . du), linear in the node update du
+        from x_nodes.
+        """
         g = self._geometry(x_nodes)
         eps = method.epsilon
         cc, ss = eps * self.c0, eps * self.s0
-        return (self._force_kernel(g, cc, ss),
-                lambda: self._tangent_kernel(g, cc, ss))
+
+        def finish(m=None):
+            ch, sh, cos_h, sin_h = self._half_angle(g)
+            if m is None:
+                K = self._tangent_kernel(g, cc, ss)
+            else:
+                P = eps * cos_h ** 2 - 0.5 * m * sin_h
+                Q = m * cos_h
+                K = self._tangent_kernel(g, P * ch + Q * sh, P * sh - Q * ch)
+            return K + (lambda du_nodes: eps * (
+                2.0 * sin_h + cos_h * self.angle_rate(g, du_nodes)),)
+
+        return self._force_kernel(g, cc, ss), finish
 
     # ------------------------------------------------------------------
     # Lagrange multiplier method

@@ -18,6 +18,17 @@ Loading is applied in increments with Newton iteration per step; a step that
 fails to converge (or drifts outside the multiplier validity range) is
 halved and retried.  ``max_cuts`` is one budget for the whole ``solve``,
 not a budget per step.
+
+Newton's tangent of a penalty constraint is its mixed integration point
+(MIP) tangent (``constraints`` module docstring): the stiffness of the
+penalty density eps (1 - cos delta) is weighted by a point moment m that
+is predicted linearly along each Newton update, m = eps (e + cos(delta/2)
+dalpha . du) at the configuration of the tangent the update solved, in
+place of the moment eps e at the new iterate.  The residual, and so every
+converged state, is that of the displacement form.  m starts every
+attempt of a load step at eps e(x), so the first tangent of every step is
+the displacement tangent.  ``assemble`` without the moment state, as ``linear_solve`` and
+the tangent checks call it, gives the displacement tangent.
 """
 
 import warnings
@@ -185,18 +196,28 @@ class Model:
             self._layout = (key, _Layout(self))
         return self._layout[1]
 
-    def assemble(self, x, q, lam: float, tangent: bool = True):
+    def assemble(self, x, q, lam: float, tangent: bool = True,
+                 moments=None):
         """Residual and sparse tangent of the full saddle system.
 
         Returns (r, K or None, f_ext).  A residual-only assembly keeps its
         kernel passes, and a tangent assembly at the same layout, x and q
         finishes them (class docstring); any other assembly drops them.
+        ``moments`` is the MIP moment state of a Newton attempt
+        (``_Moments``): a tangent assembly finishes its penalty blocks at
+        their moment fields and leaves their predictors in it.  Without it
+        K is the displacement tangent.
         """
         nd = self.mesh.n_dofs
         lay = self._current_layout()
         passes = self._passes(lay, x, q)
         if tangent:
-            out = [{**forces, **finish()} for forces, finish in passes]
+            m = {} if moments is None else moments.m
+            out = [{**forces, **finish(m.get(b))}
+                   for b, (forces, finish) in enumerate(passes)]
+            if moments is not None:
+                moments.predict = {b: o["predict"] for b, o in enumerate(out)
+                                   if "predict" in o}
         else:
             passes = list(passes)
             self._kept = (lay, np.array(x), np.array(q), passes)
@@ -245,21 +266,24 @@ def _same_bits(a, b):
 
 def _block_pass(block, method, material, x, q):
     """({name: force array}, finish) of one kernel pass on a block, where
-    finish() returns {name: stiffness array} from what the pass computed.
+    finish(m) returns {name: stiffness array} from what the pass computed.
 
     A patch block (method None) returns its element forces and tangents as
     f_a and K_aa on DOF table "a", its elements' own DOFs; a constraint
-    block returns the blocks of its ``penalty_pass`` or ``lm_pass``.
+    block returns the blocks of its ``penalty_pass`` or ``lm_pass``.  Only
+    a penalty block reads the moment field m, and its stiffness also holds
+    its moment predictor under "predict"; the others take m None.
     """
     if method is None:
         f_el, finish = force_pass(block, material, x)
-        return {"f_a": f_el}, lambda: {"K_aa": finish()}
+        return {"f_a": f_el}, lambda m: {"K_aa": finish()}
     if isinstance(method, Penalty):
         forces, finish = block.penalty_pass(x, method)
-    else:
-        forces, finish = block.lm_pass(x, q, method)
+        return (dict(zip(_F_NAMES, forces)),
+                lambda m: dict(zip(_K_NAMES[:3] + ("predict",), finish(m))))
+    forces, finish = block.lm_pass(x, q, method)
     return (dict(zip(_F_NAMES, forces)),
-            lambda: dict(zip(_K_NAMES, finish())))
+            lambda m: dict(zip(_K_NAMES, finish())))
 
 
 def _terms(item, method):
@@ -552,6 +576,23 @@ FLOOR_FACTOR = 100.0        # accepted round-off floor, in units of tol
 PROGRESS_ITERS = 8          # iterations a step may take above its first |r|
 
 
+class _Moments:
+    """The MIP moment fields of the penalty blocks over one Newton attempt.
+
+    ``m`` maps a block of the layout to the moment field its next tangent
+    is finished with; a block not in it gets the displacement tangent,
+    which is the MIP tangent at m = eps e(x).  A tangent assembly leaves
+    in ``predict`` each penalty block's predictor at its configuration,
+    and ``advance(du)`` moves ``m`` along the Newton update du from there.
+    """
+
+    def __init__(self):
+        self.m, self.predict = {}, {}
+
+    def advance(self, du_nodes):
+        self.m = {b: predict(du_nodes) for b, predict in self.predict.items()}
+
+
 def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
     """Newton loop of one load step; returns (reason, iterations, |r|).
 
@@ -579,6 +620,15 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
     |r| within PROGRESS_ITERS iterations fails: past that point its iterates
     wander, and whether they land is decided by round-off.  There is no line
     search: a step that cannot descend ends the attempt at once.
+
+    The penalty tangents are MIP tangents (module docstring).  Their
+    moment fields are kept in one ``_Moments`` per call, so each attempt
+    starts at m = eps e(x) and its first tangent is the displacement
+    tangent.  After every update that the loop goes on from, excursion
+    steps included, m is predicted from the tangent pass that solved the
+    update; when the kept trial pass is finished as the next tangent, it
+    is finished with that m.  A failed excursion restores its entry point
+    and ends the attempt, so m is reset with the next one.
     """
     nd = model.mesh.n_dofs
     stag = 1e-13 * model.mesh.bbox_diag()
@@ -586,10 +636,11 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
     best, prev, progressed = np.inf, np.inf, False
     saved = None            # (x, q, rnorm) entry point of the excursion
     excur = 0
+    moments = _Moments()
 
     for it in range(1, max_iter + 1):
         try:
-            r, K, f_ext = model.assemble(x, q, lam)
+            r, K, f_ext = model.assemble(x, q, lam, moments=moments)
         except ValueError:
             # iterate left the admissible configuration space (degenerate
             # metric or edge tangent); let the caller cut the step
@@ -658,4 +709,5 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
                                                or np.abs(upd[nd:]).max()
                                                <= stag * 1e3):
             return ("floor" if rnorm <= floor else None), it, rnorm
+        moments.advance(upd[:nd].reshape(-1, 3))
     return None, max_iter, rnorm

@@ -83,7 +83,7 @@ def penalty_force_global(con, mesh, x, method):
 
 
 def penalty_tangent_global(con, mesh, x, method):
-    K_aa, K_bb, K_ab = con.penalty_pass(x, method)[1]()
+    K_aa, K_bb, K_ab, _ = con.penalty_pass(x, method)[1]()
     triples = [(con.edof_a, con.edof_a, K_aa)]
     if K_bb is not None:
         triples += [(con.edof_b, con.edof_b, K_bb),
@@ -183,15 +183,119 @@ def test_penalty_tangent_matches_fd_extra_gauss(name, mesh, con):
 
 
 def test_penalty_tangent_force_is_penalty_force():
-    """Finishing a penalty pass's stiffness leaves its forces as they were,
-    since the model scatters them after finishing."""
+    """Finishing a penalty pass's stiffness, displacement or MIP, leaves its
+    forces as they were, since the model scatters them after finishing."""
     _, mesh, con = two_sided_cases()[0]
     x = perturbed(mesh)
     forces, finish = con.penalty_pass(x, Penalty(3.0))
     before = [f.copy() for f in forces]
     finish()
+    finish(np.ones_like(con.wS))
     for f_t, f in zip(forces, before):
         assert np.array_equal(f_t, f)
+
+
+def rest_moment(con, x, eps):
+    """eps e(x) = 2 eps sin(delta / 2) at every point of the edge."""
+    cosd, sind = con.angle_deviation(x)
+    return 2.0 * eps * np.sin(0.5 * np.arctan2(sind, cosd))
+
+
+def angle(con, x):
+    g = con._geometry(x)
+    return np.arctan2(g.sina, g.cosa)
+
+
+@pytest.mark.parametrize("name,mesh,con", ALL_CASES + extra_gauss_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_mip_tangent_at_the_rest_moment_is_the_displacement_tangent(
+        name, mesh, con):
+    """At m = eps e(x) the MIP tangent is the displacement tangent, on a
+    state where the one-sided blocks' (C, S) is not a unit pair."""
+    method = Penalty(3.0)
+    x = perturbed(mesh)
+    g = con._geometry(x)
+    rho = np.hypot(g.cosa, g.sina)
+    if con.two_sided:
+        assert np.abs(rho - 1.0).max() < 1e-14
+    else:
+        assert np.abs(rho - 1.0).max() > 1e-4
+    _, finish = con.penalty_pass(x, method)
+    K0 = finish()[:3]
+    K_mip = finish(rest_moment(con, x, method.epsilon))[:3]
+    for a, b in zip(K_mip, K0):
+        if b is not None:
+            err = np.abs(a - b).max() / np.abs(b).max()
+            assert err <= 1e-15, f"{name}: MIP identity off by {err:.2e}"
+
+
+@pytest.mark.parametrize("name,mesh,con", ALL_CASES + extra_gauss_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_angle_rate_matches_fd(name, mesh, con):
+    """The per-point dalpha . du against a central difference of alpha."""
+    x = perturbed(mesh)
+    du = np.random.default_rng(11).standard_normal(x.shape)
+    rate = con.angle_rate(con._geometry(x), du)
+    h = 1e-6
+    fd = (angle(con, x + h * du) - angle(con, x - h * du)) / (2.0 * h)
+    err = np.abs(rate - fd).max() / np.abs(fd).max()
+    assert err < 1e-7, f"{name}: angle rate vs FD rel err {err:.2e}"
+
+
+@pytest.mark.parametrize("name,mesh,con", ALL_CASES,
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_moment_predictor_is_the_linearized_rest_moment(name, mesh, con):
+    """predict(du) = eps (e + de . du): eps e(x) at du = 0, and the central
+    difference of eps e along du otherwise."""
+    method = Penalty(3.0)
+    x = perturbed(mesh)
+    du = np.random.default_rng(13).standard_normal(x.shape)
+    predict = con.penalty_pass(x, method)[1]()[3]
+    m0 = rest_moment(con, x, method.epsilon)
+    assert np.abs(predict(np.zeros_like(x)) - m0).max() <= \
+        1e-15 * np.abs(m0).max()
+    h = 1e-6
+    fd = (rest_moment(con, x + h * du, method.epsilon)
+          - rest_moment(con, x - h * du, method.epsilon)) / (2.0 * h)
+    err = np.abs((predict(h * du) - m0) / h - fd).max() / np.abs(fd).max()
+    assert err < 1e-6, f"{name}: moment rate vs FD rel err {err:.2e}"
+
+
+@pytest.mark.parametrize("name,mesh,con", two_sided_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_mip_tangent_matches_its_definition(name, mesh, con):
+    """On an interface, where (C, S) is a unit pair, the MIP tangent at any
+    moment field m is sum wS (eps de (x) de + m d2e), with de from central
+    differences of e and sum wS m d2e from central differences of the
+    gradient of sum wS m e."""
+    method = Penalty(3.0)
+    eps = method.epsilon
+    x = perturbed(mesh)
+    m = eps * np.random.default_rng(17).uniform(-0.5, 0.5, con.wS.shape)
+    K_aa, K_bb, K_ab, _ = con.penalty_pass(x, method)[1](m)
+    K = assemble_matrix(mesh.n_dofs, [
+        (con.edof_a, con.edof_a, K_aa), (con.edof_b, con.edof_b, K_bb),
+        (con.edof_a, con.edof_b, K_ab),
+        (con.edof_b, con.edof_a, K_ab.transpose(0, 2, 1))])
+
+    def e_field(z):
+        return (rest_moment(con, z.reshape(-1, 3), eps) / eps).ravel()
+
+    def grad_me(z):
+        # d(sum wS m e) = sum wS m cos(delta/2) dalpha: the force kernel
+        # with (cc, ss) = m cos(delta/2) (S, -C), a unit (C, S) here
+        g = con._geometry(z.reshape(-1, 3))
+        cos_h = con._half_angle(g)[2]
+        f_a, f_b = con._force_kernel(g, m * cos_h * g.sina,
+                                     -m * cos_h * g.cosa)
+        return assemble_force(mesh.n_dofs, [(con.edof_a, f_a),
+                                            (con.edof_b, f_b)])
+
+    de = fd_jacobian(e_field, x.ravel(), h=1e-6)
+    ref = eps * de.T @ (con.wS.ravel()[:, None] * de) + fd_jacobian(
+        grad_me, x.ravel(), h=1e-6)
+    err = np.abs(K - ref).max() / np.abs(ref).max()
+    assert err < 1e-5, f"{name}: MIP tangent vs definition rel err {err:.2e}"
 
 
 def check_penalty_tangent(name, mesh, con):

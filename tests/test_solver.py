@@ -126,19 +126,19 @@ def test_divergence_raises_after_cuts():
 
 
 def test_hopeless_step_is_cut_after_its_failed_excursion(monkeypatch):
-    """The penalty strip's first step of 0.1 cannot converge; the attempt
+    """The penalty strip's first step of 0.2 cannot converge; the attempt
     fails as soon as its excursion does, without creeping on."""
     model, _ = build_bending_folded(2, 2, ("penalty", 1e4))
     counts = {"tangent": 0, "residual": 0}
     assemble = Model.assemble
 
-    def counting_assemble(self, x, q, lam, tangent=True):
+    def counting_assemble(self, x, q, lam, tangent=True, **kwargs):
         counts["tangent" if tangent else "residual"] += 1
-        return assemble(self, x, q, lam, tangent)
+        return assemble(self, x, q, lam, tangent, **kwargs)
 
     monkeypatch.setattr(Model, "assemble", counting_assemble)
     with pytest.raises(NonConvergenceError):
-        solve(model, n_steps=10, max_cuts=0)
+        solve(model, n_steps=5, max_cuts=0)
     assert 0 < counts["tangent"] <= 8
     assert counts["residual"] <= counts["tangent"]
 
@@ -157,11 +157,34 @@ def penalty_strip_path():
     return model, solve(model, n_steps=10)
 
 
+def test_penalty_strip_takes_few_steps(monkeypatch):
+    """With the MIP tangent of the penalty, the strip's 10 requested steps
+    need at most 12 accepted ones and 80 Newton iterations over all
+    attempts (40 and 270 with the displacement tangent)."""
+    iterations = []
+    newton = solver_mod._newton
+
+    def counting_newton(*args):
+        out = newton(*args)
+        iterations.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver_mod, "_newton", counting_newton)
+    model, _ = build_bending_folded(2, 2, ("penalty", 1e4))
+    hist = solve(model, n_steps=10)
+    assert len(hist) <= 12
+    assert sum(iterations) <= 80
+
+
 def test_every_step_says_how_it_converged(penalty_strip_path):
     _, model = cantilever_model(load=2e-5)
     hist = solve(model, n_steps=2, tol_rel=1e-10)
     assert all(h.reason in ("tol", "trial") for h in hist)
-    model, hist = penalty_strip_path
+    _, hist = penalty_strip_path
+    assert {h.reason for h in hist} <= {"tol", "trial", "floor"}
+    # criterion 7's fine strip still meets its round-off floor
+    model, _ = build_bending_folded(4, 2, ("penalty", 1e4))
+    hist = solve(model, n_steps=20)
     reasons = {h.reason for h in hist}
     assert reasons <= {"tol", "trial", "floor"} and "floor" in reasons
     free = ~model._presc_mask
@@ -349,7 +372,7 @@ def reference_assemble(model, x, q, lam, tangent):
         if isinstance(method, Penalty):
             (f_a, f_b), finish = con.penalty_pass(x, method)
             if tangent:
-                K_aa, K_bb, K_ab = finish()
+                K_aa, K_bb, K_ab, _ = finish()
         else:
             qc = q[off:off + con.n_multipliers(method)]
             (f_a, f_b, f_q), finish = con.lm_pass(x, qc, method)
@@ -571,9 +594,9 @@ def test_every_tangent_is_factorized(monkeypatch):
     counts = {"tangents": 0, "factorizations": 0}
     assemble, splu = Model.assemble, solver_mod.splu
 
-    def counting_assemble(self, x, q, lam, tangent=True):
+    def counting_assemble(self, x, q, lam, tangent=True, **kwargs):
         counts["tangents"] += tangent
-        return assemble(self, x, q, lam, tangent)
+        return assemble(self, x, q, lam, tangent, **kwargs)
 
     def counting_splu(*args, **kwargs):
         counts["factorizations"] += 1
@@ -616,9 +639,9 @@ def test_one_patch_pass_per_configuration(monkeypatch):
     calls = []
     assemble = Model.assemble
 
-    def recording_assemble(self, x, q, lam, tangent=True):
+    def recording_assemble(self, x, q, lam, tangent=True, **kwargs):
         calls.append((x.tobytes() + q.tobytes(), tangent))
-        return assemble(self, x, q, lam, tangent)
+        return assemble(self, x, q, lam, tangent, **kwargs)
 
     monkeypatch.setattr(Model, "assemble", recording_assemble)
     model = build_hemisphere_hole(2, 4)
