@@ -86,6 +86,17 @@ def test_run_nonlinear_failure_exits_3(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_run_linear_unsupported_plate_exits_3(tmp_path, capsys):
+    """Without supports the stiffness is singular: the linear solve reports
+    a solver failure, as Newton does, instead of a displacement of 1e13."""
+    doc = json.loads(json.dumps(TINY_RUN))
+    doc["constraints"] = []
+    rc = main(["run", "--config", _write(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "solver failure" in capsys.readouterr().err
+
+
 def test_bench_unknown_case_exits_2(capsys):
     assert main(["bench", "no_such_case"]) == 2
     assert "unknown benchmark case" in capsys.readouterr().err

@@ -564,51 +564,178 @@ def test_assembly_makes_no_einsum_call(monkeypatch, build):
     assert calls == []
 
 
+# -- factorization -------------------------------------------------------------
+
+
+def free_dofs(model):
+    nq, _ = model.multiplier_layout()
+    return ~np.concatenate([model._presc_mask, np.zeros(nq, dtype=bool)])
+
+
+def recorded_factorizations(monkeypatch):
+    """A list that grows by one (Kff, LU) entry per factorization."""
+    calls = []
+    factorize = solver_mod._factorize
+
+    def recording_factorize(model, Kff, free):
+        lu = factorize(model, Kff, free)
+        calls.append((Kff, lu))
+        return lu
+
+    monkeypatch.setattr(solver_mod, "_factorize", recording_factorize)
+    return calls
+
+
 @pytest.mark.parametrize("method", [Penalty(100.0 * E * T**3),
                                     Multiplier("n2q0")],
                          ids=["penalty", "multiplier"])
-def test_factorization_mode_follows_the_multiplier_rows(monkeypatch, method):
-    """Every system without multiplier rows, linear or Newton, is factored
-    in symmetric mode; the saddle point, whose multiplier block has a zero
-    diagonal, keeps SuperLU's default ordering and pivoting."""
-    calls = []
-    splu = solver_mod.splu
-
-    def recording_splu(A, **kwargs):
-        calls.append(kwargs)
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "splu", recording_splu)
+def test_one_factor_path_for_penalty_and_saddle_systems(monkeypatch, method):
+    """Every free tangent, linear or Newton, with or without multiplier
+    rows, is factored by the one band LU through the one plan of its
+    layout and free DOFs; the saddle point's zero diagonal block takes
+    no other path."""
+    calls = recorded_factorizations(monkeypatch)
     _, model = coupled_strip(method)
     solver_mod.linear_solve(model)
     solve(model, n_steps=1, tol_rel=1e-10)
-    want = ({} if isinstance(method, Multiplier)
-            else dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True)))
-    assert len(calls) > 2 and all(kwargs == want for kwargs in calls)
+    nq, _ = model.multiplier_layout()
+    assert (nq > 0) == isinstance(method, Multiplier)
+    assert len(calls) > 2
+    for Kff, lu in calls:
+        assert type(lu) is solver_mod._BandLU
+        assert lu.perm is calls[0][1].perm
+        if nq:
+            assert not Kff.diagonal()[-nq:].any()
 
 
 def test_every_tangent_is_factorized(monkeypatch):
     """A step that converges on its last full step's trial residual does
     not assemble the tangent of the converged iterate."""
-    counts = {"tangents": 0, "factorizations": 0}
-    assemble, splu = Model.assemble, solver_mod.splu
+    counts = {"tangents": 0}
+    assemble = Model.assemble
 
     def counting_assemble(self, x, q, lam, tangent=True, **kwargs):
         counts["tangents"] += tangent
         return assemble(self, x, q, lam, tangent, **kwargs)
 
-    def counting_splu(*args, **kwargs):
-        counts["factorizations"] += 1
-        return splu(*args, **kwargs)
-
     monkeypatch.setattr(Model, "assemble", counting_assemble)
-    monkeypatch.setattr(solver_mod, "splu", counting_splu)
+    factorizations = recorded_factorizations(monkeypatch)
     _, model = cantilever_model(load=2e-5)
     hist = solve(model, n_steps=2, tol_rel=1e-10)
     assert len(hist) == 2
-    assert counts["tangents"] == counts["factorizations"] > 2
+    assert counts["tangents"] == len(factorizations) > 2
     assert sum(h.iterations for h in hist) == counts["tangents"]
+
+
+def follower_cantilever():
+    """The cantilever under a follower pressure: K is unsymmetric."""
+    _, model = cantilever_model()
+    model.add_pressure(0, 1e-4)
+    return model
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_bending_folded(2, 2, ("penalty", 1e4))[0],
+    lambda: build_bending_folded(2, 2, ("lm", "n2q0"))[0],
+    follower_cantilever,
+], ids=["penalty_strip", "multiplier_strip", "follower_load"])
+def test_band_solve_matches_dense_solve(build):
+    """The band solve is backward stable to a few ulps, and agrees with a
+    dense LU solve within their common bound, kappa times the rounding:
+    the penalty strip's 2-norm kappa is about 6e8 at this state, and both
+    LUs, band and SuperLU, differ from the dense one by about 1e-10."""
+    model = build()
+    _, K, _ = model.assemble(*perturbed_state(model), 0.7)
+    free = free_dofs(model)
+    Kff = model.free_tangent(K, free)
+    if build is follower_cantilever:
+        assert abs(Kff - Kff.T).max() > 1e-6 * abs(Kff).max()
+    b = np.random.default_rng(7).standard_normal(Kff.shape[0])
+    got = solver_mod._factorize(model, Kff, free).solve(b)
+    A, eps = Kff.toarray(), np.finfo(float).eps
+    want = np.linalg.solve(A, b)
+    assert (np.linalg.norm(b - A @ got)
+            <= 10.0 * eps * np.linalg.norm(A, 1) * np.linalg.norm(got))
+    assert (np.linalg.norm(got - want)
+            <= 10.0 * eps * np.linalg.cond(A, 1) * np.linalg.norm(want))
+
+
+def band_plan(model):
+    return model._current_layout()._free_maps(free_dofs(model))[4]
+
+
+def natural_bandwidth(model):
+    _, K, _ = model.assemble(*perturbed_state(model), 1.0)
+    Kff = model.free_tangent(K, free_dofs(model)).tocoo()
+    return int(np.abs(Kff.row - Kff.col).max())
+
+
+def test_band_plan_takes_the_narrower_order():
+    """One patch numbers its nodes row by row and keeps that order; the
+    folded strip's multiplier rows come after every displacement and
+    take the reverse Cuthill-McKee order."""
+    hemisphere = build_hemisphere_hole(2, 8)
+    perm, kl, ku, _ = band_plan(hemisphere)
+    assert np.array_equal(perm, np.arange(len(perm)))
+    assert kl == ku == natural_bandwidth(hemisphere) == 64
+    strip = build_bending_folded(2, 2, ("lm", "n2q0"))[0]
+    perm, kl, ku, _ = band_plan(strip)
+    assert not np.array_equal(perm, np.arange(len(perm)))
+    assert (kl, ku, natural_bandwidth(strip)) == (59, 59, 291)
+
+
+def test_singular_tangent_raises_and_newton_cuts_the_step(monkeypatch):
+    """An exactly singular free tangent raises RuntimeError; Newton cuts
+    the load step and the smaller step converges."""
+    _, model = cantilever_model(load=2e-5)
+    x, q = perturbed_state(model)
+    free = ~model._presc_mask
+    _, K, _ = model.assemble(x, q, 1.0)
+    Kff = model.free_tangent(K, free)
+    Kff.data[Kff.indptr[3]:Kff.indptr[4]] = 0.0      # one zero column
+    with pytest.raises(RuntimeError):
+        solver_mod._factorize(model, Kff, free)
+
+    free_tangent, calls = Model.free_tangent, []
+
+    def singular_first(self, K, free):
+        Kff = free_tangent(self, K, free)
+        calls.append(None)
+        if len(calls) == 1:
+            Kff.data[Kff.indptr[3]:Kff.indptr[4]] = 0.0
+        return Kff
+
+    monkeypatch.setattr(Model, "free_tangent", singular_first)
+    hist = solve(model, n_steps=1, max_cuts=1)
+    assert [h.lam for h in hist] == [0.5, 1.0]
+
+
+def test_linear_solve_rejects_a_singular_system():
+    """An unsupported plate's tangent is singular in exact arithmetic; its
+    LU solve leaves a relative residual far above LINEAR_RESIDUAL."""
+    model = Model(Mesh([make_plate(1.0, 0.4, 2, 2, 2)]),
+                  KoiterMaterial.from_youngs(E, NU, T))
+    model.add_point_force(0, 1.0, 0.2, [0.0, 0.0, 1.0])
+    with pytest.raises(NonConvergenceError, match="singular"):
+        solver_mod.linear_solve(model)
+
+
+def test_one_band_plan_per_layout_and_free_set(monkeypatch):
+    plans = []
+    band_plan = solver_mod._band_plan
+
+    def counting_plan(*args):
+        plans.append(args)
+        return band_plan(*args)
+
+    monkeypatch.setattr(solver_mod, "_band_plan", counting_plan)
+    model = build_hemisphere_hole(2, 4)
+    solver_mod.linear_solve(model)
+    solve(model, n_steps=4)
+    assert len(plans) == 1
+    model.fix_nodes([0])
+    solve(model, n_steps=1)
+    assert len(plans) == 2
 
 
 # -- one kernel pass per configuration ---------------------------------------
