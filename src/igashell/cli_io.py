@@ -17,7 +17,7 @@ import numpy as np
 from .constraints import Multiplier, Penalty, RotationConstraint
 from .geometry import (SIDES, Mesh, MeshFormatError, make_cylinder_panel,
                        make_folded_strip, make_plate, make_sphere_panel,
-                       skew_patch)
+                       skew_patch, surface_derivatives)
 from .kinematics import surface_vectors_state
 from .materials import (CanhamMaterial, KoiterMaterial, MixedMaterial,
                         ProjectedNeoHooke)
@@ -411,6 +411,15 @@ def _check_patch(mesh, idx, where):
                           f" (mesh has {len(mesh.patches)})")
 
 
+def _check_point(mesh, d, where):
+    """A point load's or probe's (u, v) lies in its patch's parameter
+    range, the ends included."""
+    (u0, u1), (v0, v1) = mesh.patches[d["patch"]].param_range
+    if not (u0 <= d["u"] <= u1 and v0 <= d["v"] <= v1):
+        raise ConfigError(f"{where}: (u, v) lies outside patch {d['patch']},"
+                          f" [{u0:g}, {u1:g}] x [{v0:g}, {v1:g}]")
+
+
 def _method_obj(c):
     if c["method"] == "penalty":
         return Penalty(c["epsilon"])
@@ -456,6 +465,7 @@ def build_model(cfg, base_dir="."):
     for k, l in enumerate(cfg.loads):
         _check_patch(mesh, l["patch"], f"loads[{k}]")
         if l["kind"] == "point":
+            _check_point(mesh, l, f"loads[{k}]")
             model.add_point_force(l["patch"], l["u"], l["v"], l["force"])
         elif l["kind"] == "pressure":
             model.add_pressure(l["patch"], l["p"])
@@ -467,6 +477,7 @@ def build_model(cfg, base_dir="."):
             model.add_edge_moment(l["patch"], l["side"], l["moment"])
     for k, p in enumerate(cfg.outputs["probes"]):
         _check_patch(mesh, p["patch"], f"outputs.probes[{k}]")
+        _check_point(mesh, p, f"outputs.probes[{k}]")
     return model, mesh
 
 
@@ -490,24 +501,17 @@ class FieldOutput:
 
 
 def _patch_samples(patch, s):
-    """Per-element s x s parameter grids: (n_pts, 2) plus local quads."""
-    bu = np.unique(patch.knots_u)
-    bv = np.unique(patch.knots_v)
-    params, quads = [], []
-    off = 0
-    for v0, v1 in zip(bv[:-1], bv[1:]):
-        for u0, u1 in zip(bu[:-1], bu[1:]):
-            us = np.linspace(u0, u1, s)
-            vs = np.linspace(v0, v1, s)
-            for v in vs:
-                for u in us:
-                    params.append((u, v))
-            for j in range(s - 1):
-                for i in range(s - 1):
-                    a = off + j * s + i
-                    quads.append((a, a + 1, a + s + 1, a + s))
-            off += s * s
-    return np.array(params), np.array(quads, dtype=int)
+    """Per-element s x s parameter grids: (n_pts, 2) plus local quads.
+
+    Elements run with u fastest, and so do the points within one."""
+    us, vs = (np.linspace(b[:-1], b[1:], s, axis=1)
+              for b in (np.unique(patch.knots_u), np.unique(patch.knots_v)))
+    shape = (len(vs), len(us), s, s)
+    params = np.stack([np.broadcast_to(us[None, :, None, :], shape),
+                       np.broadcast_to(vs[:, None, :, None], shape)], axis=-1)
+    a = (s * s * np.arange(len(vs) * len(us))[:, None, None]
+         + s * np.arange(s - 1)[:, None] + np.arange(s - 1)).ravel()
+    return params.reshape(-1, 2), np.stack([a, a + 1, a + s + 1, a + s], 1)
 
 
 def build_field_output(mesh, x_nodes, material, samples_per_element=2):
@@ -519,25 +523,11 @@ def build_field_output(mesh, x_nodes, material, samples_per_element=2):
     disp, Hs, ks, taus, moms = [], [], [], [], []
     offset = 0
     for p, patch in enumerate(mesh.patches):
-        ids = mesh.patch_node_ids[p]
         params, quads = _patch_samples(patch, s)
-        n_pts = len(params)
-        a_ref = np.zeros((n_pts, 2, 3))
-        h_ref = np.zeros((n_pts, 3, 3))
-        a_cur = np.zeros((n_pts, 2, 3))
-        h_cur = np.zeros((n_pts, 3, 3))
-        X = np.zeros((n_pts, 3))
-        x = np.zeros((n_pts, 3))
-        for k, (u, v) in enumerate(params):
-            idx, N, dN, d2N = patch.basis2d(u, v)
-            Xe = mesh.node_coords[ids[idx]]
-            xe = x_nodes[ids[idx]]
-            X[k] = N @ Xe
-            x[k] = N @ xe
-            a_ref[k] = dN.T @ Xe
-            a_cur[k] = dN.T @ xe
-            h_ref[k] = d2N.T @ Xe
-            h_cur[k] = d2N.T @ xe
+        idx, *tables = patch.basis2d(params[:, 0], params[:, 1])
+        nodes = mesh.patch_node_ids[p][idx]
+        X, a_ref, h_ref = surface_derivatives(*tables, mesh.node_coords[nodes])
+        x, a_cur, h_cur = surface_derivatives(*tables, x_nodes[nodes])
         ref, _ = surface_vectors_state(a_ref, h_ref)
         cur, _ = surface_vectors_state(a_cur, h_cur)
         tau, M0 = material.stress(ref, cur)
@@ -548,7 +538,7 @@ def build_field_output(mesh, x_nodes, material, samples_per_element=2):
         ks.append(cur.kappa)
         taus.append(np.stack([tau[:, 0, 0], tau[:, 1, 1], tau[:, 0, 1]], 1))
         moms.append(np.stack([M0[:, 0, 0], M0[:, 1, 1], M0[:, 0, 1]], 1))
-        offset += n_pts
+        offset += len(params)
     return FieldOutput(np.vstack(pts), np.vstack(cells), np.vstack(disp),
                        np.concatenate(Hs), np.concatenate(ks),
                        np.vstack(taus), np.vstack(moms))

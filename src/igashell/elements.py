@@ -109,6 +109,17 @@ class _Tables:
         out.nel, out.ngp, out.nloc = out.N.shape
         return out
 
+    def _tabulate(self, patch, u, v, nel):
+        """N, dN, d2N (nel, ngp, ...) from ``patch.basis2d`` at (u, v),
+        whose leading axes run over the elements; ``local_ids`` is each
+        element's first idx."""
+        idx, N, dN, d2N = patch.basis2d(u, v)
+        k = idx.ndim - 1
+        idx, self.N, self.dN, self.d2N = (
+            T.reshape((nel, -1) + T.shape[k:]) for T in (idx, N, dN, d2N))
+        self.local_ids = idx[:, 0]
+        self.nel, self.ngp, self.nloc = self.N.shape
+
 
 class PatchQuadrature(_Tables):
     """Per-element basis tables and reference geometry for one patch.
@@ -118,7 +129,7 @@ class PatchQuadrature(_Tables):
     reference geometry is computed as every current state is; so x = X is
     the reference state bit for bit, also where coincident control points
     merge into one node.  Quadrature uses (p + 1) x (q + 1) Gauss points per
-    element.
+    element, tabulated by one ``Patch.basis2d`` call on the Gauss grid.
     """
 
     STACKED = _Tables.STACKED + ("ref_state", "jacA")
@@ -130,10 +141,12 @@ class PatchQuadrature(_Tables):
         ngu, ngv = (bu.degree + 1, bv.degree + 1) if n_gauss is None else n_gauss
         tu, wu = gauss_01(ngu)
         tv, wv = gauss_01(ngv)
-        self.local_ids, self.N, self.dN, self.d2N = patch.tabulate(
-            bu.tabulate(np.arange(bu.n_elements), tu),
-            bv.tabulate(np.arange(bv.n_elements), tv))
-        self.nel, self.ngp, self.nloc = nel, ngp, nloc = self.N.shape
+        # the Gauss grid u_e + t h_e along each direction, (nel, ng)
+        u, v = (b.breaks[:-1, None] + t[None, :] * b.h[:, None]
+                for b, t in ((bu, tu), (bv, tv)))
+        self._tabulate(patch, u[None, :, None, :], v[:, None, :, None],
+                       patch.n_elements)
+        nel, ngp, nloc = self.nel, self.ngp, self.nloc
         self.conn = node_ids[self.local_ids]
         # w_u w_v h_u h_v, multiplied in that order, (nel_v, nel_u, ngv, ngu)
         self.wq = ((wv[:, None] * wu[None, :]) * bu.h[:, None, None]
@@ -395,8 +408,9 @@ class EdgeQuadrature(_Tables):
 
     The running parameter is u for sides v0/v1 and v for u0/u1; ``xi_dir``
     stores which of the two surface parameters runs along the edge.  The full
-    2D element basis is tabulated at the edge Gauss points so that rotation
-    coupled quantities (normals, curvatures) are available.  ``reverse``
+    2D element basis is tabulated at the edge Gauss points, by one
+    ``Patch.basis2d`` call, so that rotation coupled quantities (normals,
+    curvatures) are available.  ``reverse``
     lays the points out in reversed element and Gauss order, running against
     the edge parameter, as the mate side of a reversed interface needs.
     ``node_ids`` and ``node_coords`` are those of ``PatchQuadrature``.
@@ -418,14 +432,10 @@ class EdgeQuadrature(_Tables):
         els = np.arange(run.n_elements)
         if reverse:
             els, tg, wg = els[::-1], tg[::-1], wg[::-1]
-        # the fixed parameter: first element at t = 0 or last element at t = 1
-        end = side.endswith("1")
-        f_fix = fix.eval_elements([fix.n_elements - 1 if end else 0],
-                                  [[float(end)]])
-        f_run = run.tabulate(els, tg)
-        self.local_ids, self.N, self.dN, self.d2N = patch.tabulate(
-            *((f_run, f_fix) if along_u else (f_fix, f_run)))
-        self.nel, self.ngp, self.nloc = self.N.shape
+        s = run.breaks[els, None] + tg[None, :] * run.h[els, None]
+        fixed = fix.breaks[-1 if side.endswith("1") else 0]
+        self._tabulate(patch, *((s, fixed) if along_u else (fixed, s)),
+                       len(els))
         self.conn = node_ids[self.local_ids]
         self.wq = wg[None, :] * run.h[els, None]
         self.edof = (3 * self.conn[:, :, None] + np.arange(3)[None, None, :]

@@ -4,6 +4,10 @@ Control points are stored flat with the u index running fastest, matching
 the JSON mesh format.  All primitives produce exact rational representations
 of their geometry (circular arcs carry the usual midpoint weight), so
 refinement by knot insertion never changes the surface.
+
+``Patch.basis2d`` is the one way from parameters (u, v) to basis values.
+It broadcasts over arrays of parameters, so quadrature tables, loads,
+probes, field output and Greville sampling each make one call.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ class MeshFormatError(ValueError):
 
 @dataclass
 class Patch:
-    """Single tensor-product NURBS surface patch."""
+    """Single tensor-product NURBS surface patch.
+
+    ``basis2d`` is its one basis evaluation; ``evaluate`` and ``point``
+    apply it to the control points.
+    """
 
     degree_u: int
     degree_v: int
@@ -112,54 +120,44 @@ class Patch:
 
     # -- evaluation ------------------------------------------------------
 
-    def basis2d(self, u: float, v: float):
+    def basis2d(self, u, v):
         """Rational basis and first/second parametric derivatives at (u, v).
 
-        Returns (idx, N, dN, d2N) for the supported functions only; dN has
-        columns (d/du, d/dv), d2N has columns (uu, vv, uv).
+        u and v are scalars or arrays that broadcast to one shape S.
+        Returns (idx, N, dN, d2N) for the supported functions only: idx and
+        N are S + (nloc,), dN is S + (nloc, 2) with columns (d/du, d/dv) and
+        d2N S + (nloc, 3) with columns (uu, vv, uv); the u function runs
+        fastest within nloc.  A point on an element boundary takes the
+        element on its right.  Each 1-D basis is tabulated once per entry of
+        u or of v before broadcasting, so a grid u (1, n) x v (m, 1) costs
+        n + m 1-D rows, and every value is the scalar call's bit for bit.
         """
-        idx, N, dN, d2N = self.tabulate(
-            self.basis_u.eval_elements(*self.basis_u.locate(u)),
-            self.basis_v.eval_elements(*self.basis_v.locate(v)))
-        return idx[0], N[0, 0], dN[0, 0], d2N[0, 0]
+        (cu, Nu, dNu, d2Nu), (cv, Nv, dNv, d2Nv) = (
+            [T.reshape(np.shape(x) + (-1,))
+             for T in b.eval_elements(*b.locate(x))]
+            for b, x in ((self.basis_u, u), (self.basis_v, v)))
 
-    def tabulate(self, fu, fv):
-        """Rational basis on the tensor product of 1-D element tables.
+        def flat(r):
+            return r.reshape(r.shape[:-2] + (-1,))
 
-        fu = (conn, N, dN, d2N) from ``BasisGrid.eval_elements`` along u,
-        with tables (nel_u, m_u, p+1); fv likewise along v.  Elements and
-        the points within one are ordered with u running fastest.  Returns
-        local_ids (nel, nloc) and N (nel, npts, nloc), dN (..., 2) and d2N
-        (..., 3), with nel = nel_v nel_u and npts = m_v m_u.
-        """
-        cu, Nu, dNu, d2Nu = fu
-        cv, Nv, dNv, d2Nv = fv
-        nel, npts = len(cv) * len(cu), Nv.shape[1] * Nu.shape[1]
-        idx = (cv[:, None, :, None] * self.n_u
-               + cu[None, :, None, :]).reshape(nel, -1)
+        def prod(fv, fu):
+            return flat(fv[..., :, None] * fu[..., None, :])
 
-        def prod(fv_, fu_):
-            return (fv_[:, None, :, None, :, None]
-                    * fu_[None, :, None, :, None, :]).reshape(nel, npts, -1)
-
+        idx = flat(cv[..., :, None] * self.n_u + cu[..., None, :])
         dB = np.stack([prod(Nv, dNu), prod(dNv, Nu)])
         d2B = np.stack([prod(Nv, d2Nu), prod(d2Nv, Nu), prod(dNv, dNu)])
-        return idx, *_rationalize(self.weights[idx][:, None, :], prod(Nv, Nu),
-                                  dB, d2B)
+        return idx, *_rationalize(self.weights[idx], prod(Nv, Nu), dB, d2B)
 
-    def evaluate(self, u: float, v: float):
+    def evaluate(self, u, v):
         """Surface point, tangents and second derivatives at (u, v).
 
-        Returns (x, a (2,3), h (3,3)) with h rows ordered (uu, vv, uv).
+        Returns (x, a, h), shaped S + (3,), S + (2, 3) and S + (3, 3) for the
+        broadcast shape S of u and v, with h rows ordered (uu, vv, uv).
         """
         idx, N, dN, d2N = self.basis2d(u, v)
-        P = self.points[idx]
-        x = N @ P
-        a = dN.T @ P
-        h = d2N.T @ P
-        return x, a, h
+        return surface_derivatives(N, dN, d2N, self.points[idx])
 
-    def point(self, u: float, v: float) -> np.ndarray:
+    def point(self, u, v) -> np.ndarray:
         return self.evaluate(u, v)[0]
 
     # -- edges -----------------------------------------------------------
@@ -179,6 +177,16 @@ class Patch:
         if side == "v1":
             return (n_v - 1) * n_u + np.arange(n_u)
         raise MeshFormatError(f"unknown side {side!r}")
+
+
+def surface_derivatives(N, dN, d2N, P):
+    """(x, a, h) of the map with control rows P S + (nloc, 3), for the
+    ``Patch.basis2d`` tables N, dN and d2N: x = N P, a = dN^T P (2, 3) and
+    h = d2N^T P (3, 3).  One matmul per point, the one a single point makes,
+    so a value does not depend on the batch."""
+    return (np.matmul(N[..., None, :], P)[..., 0, :],
+            np.matmul(dN.swapaxes(-1, -2), P),
+            np.matmul(d2N.swapaxes(-1, -2), P))
 
 
 def _rationalize(w, B, dB, d2B):
@@ -537,48 +545,40 @@ def skew_patch(patch: Patch, r: float, axis: int = 0) -> Patch:
         raise ValueError("distortion ratio must lie in [0, 1)")
     if not np.allclose(patch.weights, 1.0):
         raise ValueError("skew construction expects a polynomial (flat) patch")
-    x00 = patch.point(patch.knots_u[0], patch.knots_v[0])
-    x10 = patch.point(patch.knots_u[-1], patch.knots_v[0])
-    x01 = patch.point(patch.knots_u[0], patch.knots_v[-1])
-    if axis == 0:
-        e_len = x10 - x00
-    else:
-        e_len = x01 - x00
+    ku, kv = patch.knots_u, patch.knots_v
+    x00, x10, x01 = patch.point(ku[[0, -1, 0]], kv[[0, 0, -1]])
+    e_len = (x10 if axis == 0 else x01) - x00
     S = float(np.linalg.norm(e_len))
     e_len = e_len / S
     if r == 0.0:
         return patch.copy()
 
     def shift(su, sv):
-        # su: normalized coordinate along the distorted axis, sv across
-        return -r * S * (sv - 0.5) * (1.0 - (2.0 * su - 1.0) ** 2)
+        # su: normalized coordinate along the distorted axis, sv across;
+        # scalar_square rounds as a scalar power, so no point depends on
+        # the batch
+        return -r * S * (sv - 0.5) * (1.0 - scalar_square(2.0 * su - 1.0))
 
-    gu = greville_abscissae(patch.knots_u, patch.degree_u)
-    gv = greville_abscissae(patch.knots_v, patch.degree_v)
-    span_u = patch.knots_u[-1] - patch.knots_u[0]
-    span_v = patch.knots_v[-1] - patch.knots_v[0]
-    F = np.zeros((len(gv), len(gu), 3))
-    for j, v in enumerate(gv):
-        for i, u in enumerate(gu):
-            x = patch.point(u, v)
-            nu = (u - patch.knots_u[0]) / span_u
-            nv = (v - patch.knots_v[0]) / span_v
-            su, sv = (nu, nv) if axis == 0 else (nv, nu)
-            F[j, i] = x + shift(su, sv) * e_len
+    gu = greville_abscissae(ku, patch.degree_u)
+    gv = greville_abscissae(kv, patch.degree_v)
+    nu = ((gu - ku[0]) / (ku[-1] - ku[0]))[None, :]
+    nv = ((gv - kv[0]) / (kv[-1] - kv[0]))[:, None]
+    su, sv = (nu, nv) if axis == 0 else (nv, nu)
+    F = (patch.point(gu[None, :], gv[:, None])
+         + shift(su, sv)[..., None] * e_len)
     # solve A_v P A_u^T = F per coordinate; both matrices are square since
     # there is one Greville point per basis function
     Au = _collocation_matrix(patch.basis_u, gu)
     Av = _collocation_matrix(patch.basis_v, gv)
     P = np.einsum("ja,abk,ib->jik", np.linalg.inv(Av), F, np.linalg.inv(Au))
-    return Patch(patch.degree_u, patch.degree_v, patch.knots_u.copy(),
-                 patch.knots_v.copy(), P.reshape(-1, 3), np.ones(P.shape[0] * P.shape[1]))
+    return Patch(patch.degree_u, patch.degree_v, ku.copy(), kv.copy(),
+                 P.reshape(-1, 3), np.ones(P.shape[0] * P.shape[1]))
 
 
 def _collocation_matrix(basis: BasisGrid, pts: np.ndarray) -> np.ndarray:
+    conn, N, _, _ = basis.eval_elements(*basis.locate(pts))
     A = np.zeros((len(pts), basis.n_funcs))
-    for k, u in enumerate(pts):
-        conn, N, _, _ = basis.eval(float(u))
-        A[k, conn] = N
+    A[np.arange(len(pts))[:, None], conn] = N[:, 0]
     return A
 
 

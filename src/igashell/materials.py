@@ -61,10 +61,6 @@ def surface_lame(lam3: float, mu3: float, thickness: float):
     return thickness * 2.0 * lam3 * mu3 / (lam3 + 2.0 * mu3), thickness * mu3
 
 
-def _bcast(x, like):
-    return np.broadcast_to(np.asarray(x)[..., None, None], like.shape)
-
-
 class ShellMaterial:
     """Interface shared by all models; also hosts the FD-perturbation hook."""
 

@@ -1,7 +1,9 @@
 """B-spline knot algebra, Bernstein bases and Bezier extraction.
 
 Everything here works on a single parametric direction.  Surfaces are
-tensor products assembled in :mod:`igashell.geometry`.
+tensor products assembled in :mod:`igashell.geometry`, whose
+``Patch.basis2d`` is the one way from parameters to basis values: it takes
+each 1-D basis through ``BasisGrid.locate`` and ``BasisGrid.eval_elements``.
 
 Conventions:
   * knot vectors are open (clamped); degrees 1..5 are supported, the shell
@@ -207,8 +209,10 @@ def elevate_bezier(ctrl: np.ndarray, times: int = 1) -> np.ndarray:
 class BasisGrid:
     """Univariate B-spline basis with precomputed Bezier extraction.
 
-    Evaluation returns only the p+1 functions supported on the containing
-    element together with their indices.
+    ``locate`` maps parameters to (element, local coordinate) and
+    ``eval_elements`` tabulates the p+1 functions supported on each element
+    together with their indices.  Surfaces reach the basis only through
+    ``geometry.Patch.basis2d``, which calls the two in turn.
     """
 
     def __init__(self, knots, degree: int):
@@ -222,15 +226,19 @@ class BasisGrid:
         self.h = np.diff(self.breaks)          # span lengths
         self.h2 = scalar_square(self.h)
 
-    def element_of(self, u: float) -> int:
-        e = int(np.searchsorted(self.breaks, u, side="right") - 1)
-        return min(max(e, 0), self.n_elements - 1)
+    def element_of(self, u):
+        """Element index of each u; a breakpoint belongs to the element on
+        its right, the right end of the patch to the last element."""
+        e = np.searchsorted(self.breaks, u, side="right") - 1
+        return np.clip(e, 0, self.n_elements - 1)
 
-    def locate(self, u: float):
-        """The element containing u and u's local coordinate, shaped as
-        ``eval_elements`` takes them: ([e], [[t]])."""
-        e = self.element_of(float(u))
-        return [e], [[(float(u) - self.breaks[e]) / self.h[e]]]
+    def locate(self, u):
+        """The elements containing the entries of u and their local
+        coordinates, shaped as ``eval_elements`` takes them: e (n,) and
+        t (n, 1), with n the number of entries of u."""
+        u = np.asarray(u, dtype=float).ravel()
+        e = self.element_of(u)
+        return e, ((u - self.breaks[e]) / self.h[e])[:, None]
 
     def eval_elements(self, e, t):
         """Basis values on elements ``e`` (n,) at local coordinates t (n, m).
@@ -250,25 +258,3 @@ class BasisGrid:
                       for T in bernstein(self.degree, t.ravel()))
         return (self.conn[e], N, dN / self.h[e, None, None],
                 d2N / self.h2[e, None, None])
-
-    def tabulate(self, e, t):
-        """``eval_elements`` at u = u_e + t h_e, for local points t (m,).
-
-        Each u is formed and mapped back to its local coordinate as ``eval``
-        does, so the tables equal point evaluations at u bit for bit; the
-        round trip is inexact at most Gauss points.
-        """
-        e = np.asarray(e, dtype=np.int64)
-        u0, h = self.breaks[e, None], self.h[e, None]
-        u = u0 + np.asarray(t, dtype=float)[None, :] * h
-        return self.eval_elements(e, (u - u0) / h)
-
-    def eval_element(self, e: int, t: np.ndarray):
-        """Basis values on element ``e`` at local coordinates t in [0, 1]."""
-        conn, N, dN, d2N = self.eval_elements([e], np.atleast_1d(t)[None])
-        return conn[0], N[0], dN[0], d2N[0]
-
-    def eval(self, u: float):
-        """Basis values at a single parameter value (patch coordinates)."""
-        conn, N, dN, d2N = self.eval_elements(*self.locate(u))
-        return conn[0], N[0, 0], dN[0, 0], d2N[0, 0]

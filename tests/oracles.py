@@ -9,11 +9,17 @@ symmetric-matrix derivative conventions for the work-conjugate stress pair:
 
 so a unit perturbation of the (12) entry pair picks up the off-diagonal
 component once for tau-like quantities and twice for M0-like ones.
+
+``point_basis_reference`` and ``field_output_reference`` are the other
+kind of oracle: they redo the package's own arithmetic one point at a time
+with scalar operations, so a batched evaluation can be checked against them
+bit for bit.
 """
 
 import numpy as np
 
-from igashell.kinematics import metric_state
+from igashell.kinematics import metric_state, surface_vectors_state
+from igashell.nurbs import bernstein
 
 
 def cox_de_boor(knots, degree, i, u):
@@ -57,6 +63,71 @@ def bspline_row(knots, degree, u, order=0):
     """All n basis functions (or derivatives) at u as a dense row."""
     n = len(knots) - degree - 1
     return np.array([cox_de_boor_deriv(knots, degree, i, u, order) for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# one-point references for batched evaluation
+
+
+def point_basis_reference(patch, u, v):
+    """Rational basis at one point with scalar arithmetic: each 1-D basis
+    from one Bernstein row, then the tensor product and quotient rule.  A
+    point on a breakpoint takes the element on its right."""
+    tables = []
+    for basis, x in ((patch.basis_u, u), (patch.basis_v, v)):
+        e = min(int(np.searchsorted(basis.breaks, x, side="right")) - 1,
+                basis.n_elements - 1)
+        h = basis.breaks[e + 1] - basis.breaks[e]
+        B, dB, d2B = bernstein(basis.degree, np.array([(x - basis.breaks[e]) / h]))
+        C = basis.C[e]
+        tables.append((basis.conn[e], (B @ C.T)[0], (dB @ C.T)[0] / h,
+                       (d2B @ C.T)[0] / h ** 2))
+    (cu, Nu, dNu, d2Nu), (cv, Nv, dNv, d2Nv) = tables
+    idx = (cv[:, None] * patch.n_u + cu[None, :]).ravel()
+    w = patch.weights[idx]
+    wB = w * np.outer(Nv, Nu).ravel()
+    wdB = w[:, None] * np.stack([np.outer(Nv, dNu).ravel(),
+                                 np.outer(dNv, Nu).ravel()], axis=-1)
+    wd2B = w[:, None] * np.stack([np.outer(Nv, d2Nu).ravel(),
+                                  np.outer(d2Nv, Nu).ravel(),
+                                  np.outer(dNv, dNu).ravel()], axis=-1)
+    W, Wd, Wdd = wB.sum(), wdB.sum(axis=0), wd2B.sum(axis=0)
+    dN = (wdB - np.outer(wB, Wd) / W) / W
+    d2N = np.empty_like(wd2B)
+    for k, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
+        d2N[:, k] = (wd2B[:, k] - (wdB[:, a] * Wd[b] + wdB[:, b] * Wd[a]) / W
+                     - wB * Wdd[k] / W + 2.0 * wB * Wd[a] * Wd[b] / W ** 2) / W
+    return idx, wB / W, dN, d2N
+
+
+def field_output_reference(mesh, x_nodes, material, s):
+    """Field output sample by sample: per patch, each element's s x s grid
+    (u fastest, elements too), the basis of every sample from
+    ``point_basis_reference`` and its geometry from one-point products.
+    Returns (points, displacement, mean_curvature, gauss_curvature,
+    membrane_stress, bending_moment) as ``build_field_output`` orders
+    them."""
+    out = []
+    for p, patch in enumerate(mesh.patches):
+        bu, bv = np.unique(patch.knots_u), np.unique(patch.knots_v)
+        rows = []       # (X, a_ref, h_ref, x, a_cur, h_cur) per sample
+        for v0, v1 in zip(bv[:-1], bv[1:]):
+            for u0, u1 in zip(bu[:-1], bu[1:]):
+                for v in np.linspace(v0, v1, s):
+                    for u in np.linspace(u0, u1, s):
+                        idx, N, dN, d2N = point_basis_reference(patch, u, v)
+                        nodes = mesh.patch_node_ids[p][idx]
+                        rows.append([f for P in (mesh.node_coords[nodes],
+                                                 x_nodes[nodes])
+                                     for f in (N @ P, dN.T @ P, d2N.T @ P)])
+        X, a_ref, h_ref, x, a_cur, h_cur = (np.array(f) for f in zip(*rows))
+        ref, _ = surface_vectors_state(a_ref, h_ref)
+        cur, _ = surface_vectors_state(a_cur, h_cur)
+        tau, M0 = material.stress(ref, cur)
+        out.append((x, x - X, cur.H, cur.kappa,
+                    np.stack([tau[:, 0, 0], tau[:, 1, 1], tau[:, 0, 1]], 1),
+                    np.stack([M0[:, 0, 0], M0[:, 1, 1], M0[:, 0, 1]], 1)))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,30 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "done: 1 step(s)" in capsys.readouterr().out
 
 
+def test_run_point_outside_patch_exits_2(tmp_path, capsys):
+    """A point load or probe off the [0, 1] x [0, 1] plate is rejected,
+    not extrapolated."""
+    load = {"kind": "point", "patch": 0, "u": 3.0, "v": 0.5,
+            "force": [0, 0, -0.01]}
+    probe = {"patch": 0, "u": 0.5, "v": -0.25}
+    for loads, probes in (([load], []), ([], [probe])):
+        doc = json.loads(json.dumps(TINY_RUN))
+        doc["loads"] += loads
+        doc["outputs"]["probes"] += probes
+        assert main(["run", "--config", _write(tmp_path, doc), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "outside patch 0" in capsys.readouterr().err
+
+
+def test_run_point_on_patch_edge_is_accepted(tmp_path):
+    doc = json.loads(json.dumps(TINY_RUN))
+    doc["loads"].append({"kind": "point", "patch": 0, "u": 1.0, "v": 1.0,
+                         "force": [0, 0, -0.01]})
+    doc["outputs"] = {"probes": [{"patch": 0, "u": 1.0, "v": 0.0}]}
+    assert main(["run", "--config", _write(tmp_path, doc), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
 def test_run_history_says_how_each_step_converged(tmp_path, capsys):
     doc = json.loads(json.dumps(TINY_RUN))
     doc["solver"] = {"linear": False, "n_steps": 2}

@@ -9,8 +9,10 @@ import pytest
 from igashell.cli_io import (ConfigError, FieldOutput, RunConfig, build_mesh,
                              build_field_output, build_model, write_csv,
                              write_field_csv, write_vtk)
-from igashell.geometry import Mesh, make_plate, make_sphere_panel
+from igashell.geometry import (Mesh, make_folded_strip, make_plate,
+                               make_sphere_panel)
 from igashell.materials import KoiterMaterial
+from oracles import field_output_reference
 
 FULL_CONFIG = {
     "mesh": {"type": "plate", "lx": 2.0, "ly": 1.0, "degree": 2,
@@ -175,6 +177,26 @@ def test_sphere_reference_curvatures():
     fo = build_field_output(mesh, mesh.node_coords, mat, 3)
     assert fo.gauss_curvature == pytest.approx(1.0 / R ** 2, rel=1e-10)
     assert np.abs(fo.mean_curvature) == pytest.approx(1.0 / R, rel=1e-10)
+
+
+@pytest.mark.parametrize("samples", [2, 3])
+@pytest.mark.parametrize("mesh", [
+    Mesh([make_sphere_panel(2.0, 0.0, 90.0, 20.0, 80.0, 2, 3, 2)]),
+    make_folded_strip(1.0, 1.0, 0.5, 30.0, 2, 2, 2)[0],
+], ids=["cap", "strip"])
+def test_field_output_matches_point_reference(mesh, samples):
+    """The batched field output equals one-point evaluation bit for bit at
+    a deformed state.  Samples on a breakpoint take the element on their
+    right, where the quadratic basis' d2N jumps."""
+    mat = KoiterMaterial.from_youngs(1e3, 0.3, 0.02)
+    rng = np.random.default_rng(8)
+    x = mesh.node_coords + 0.02 * rng.standard_normal(mesh.node_coords.shape)
+    fo = build_field_output(mesh, x, mat, samples)
+    want = field_output_reference(mesh, x, mat, samples)
+    for got, w in zip((fo.points, fo.displacement, fo.mean_curvature,
+                       fo.gauss_curvature, fo.membrane_stress,
+                       fo.bending_moment), want):
+        assert np.array_equal(got, w)
 
 
 def test_sampled_grid_resolution():

@@ -19,7 +19,7 @@ from igashell.geometry import (
 )
 from igashell import benchmarks
 from igashell.elements import gauss_01
-from igashell.nurbs import bernstein
+from oracles import point_basis_reference
 
 
 def fd_surface_derivs(patch, u, v, h=1e-3):
@@ -61,35 +61,6 @@ def test_derivatives_match_finite_differences(maker):
         assert np.allclose(h2[2], huv, rtol=2e-4, atol=1e-5)
 
 
-def point_basis_reference(patch, u, v):
-    """Rational basis at one point with scalar arithmetic: each 1-D basis
-    from one Bernstein row, then the tensor product and quotient rule."""
-    tables = []
-    for basis, x in ((patch.basis_u, u), (patch.basis_v, v)):
-        e = basis.element_of(x)
-        h = basis.breaks[e + 1] - basis.breaks[e]
-        B, dB, d2B = bernstein(basis.degree, np.array([(x - basis.breaks[e]) / h]))
-        C = basis.C[e]
-        tables.append((basis.conn[e], (B @ C.T)[0], (dB @ C.T)[0] / h,
-                       (d2B @ C.T)[0] / h ** 2))
-    (cu, Nu, dNu, d2Nu), (cv, Nv, dNv, d2Nv) = tables
-    idx = (cv[:, None] * patch.n_u + cu[None, :]).ravel()
-    w = patch.weights[idx]
-    wB = w * np.outer(Nv, Nu).ravel()
-    wdB = w[:, None] * np.stack([np.outer(Nv, dNu).ravel(),
-                                 np.outer(dNv, Nu).ravel()], axis=-1)
-    wd2B = w[:, None] * np.stack([np.outer(Nv, d2Nu).ravel(),
-                                  np.outer(d2Nv, Nu).ravel(),
-                                  np.outer(dNv, dNu).ravel()], axis=-1)
-    W, Wd, Wdd = wB.sum(), wdB.sum(axis=0), wd2B.sum(axis=0)
-    dN = (wdB - np.outer(wB, Wd) / W) / W
-    d2N = np.empty_like(wd2B)
-    for k, (a, b) in enumerate(((0, 0), (1, 1), (0, 1))):
-        d2N[:, k] = (wd2B[:, k] - (wdB[:, a] * Wd[b] + wdB[:, b] * Wd[a]) / W
-                     - wB * Wdd[k] / W + 2.0 * wB * Wd[a] * Wd[b] / W ** 2) / W
-    return idx, wB / W, dN, d2N
-
-
 @pytest.mark.parametrize("patch", [
     make_plate(2.0, 1.0, 2, 3, 2),
     make_sphere_panel(10.0, 0.0, 90.0, 18.0, 90.0, 2, 8, 8),
@@ -113,6 +84,13 @@ def test_basis2d_matches_scalar_reference(patch):
         for got, want in zip(patch.basis2d(u, v),
                              point_basis_reference(patch, u, v)):
             assert np.array_equal(got, want), (u, v)
+    # one broadcast call over all the points: u (n,) against v (1, n)
+    u, v = np.array(pts).T
+    want = [np.array(t) for t in zip(*(point_basis_reference(patch, *uv)
+                                        for uv in pts))]
+    for got, w in zip(patch.basis2d(u, v[None, :]), want):
+        assert got.shape == (1,) + w.shape
+        assert np.array_equal(got[0], w)
 
 
 def test_cylinder_is_exact():

@@ -23,8 +23,9 @@ def test_extracted_basis_matches_recursion(degree, n_el):
     knots = open_knot_vector(n_el, degree, 0.0, 2.5)
     grid = BasisGrid(knots, degree)
     rng = np.random.default_rng(degree * 100 + n_el)
-    for u in rng.uniform(0.0, 2.5, 12):
-        idx, N, dN, d2N = grid.eval(u)
+    us = rng.uniform(0.0, 2.5, 12)
+    conn, Ns, dNs, d2Ns = grid.eval_elements(*grid.locate(us))
+    for u, idx, N, dN, d2N in zip(us, conn, Ns[:, 0], dNs[:, 0], d2Ns[:, 0]):
         want = bspline_row(knots, degree, u)
         got = np.zeros_like(want)
         got[idx] = N
@@ -43,11 +44,20 @@ def test_extracted_basis_matches_recursion(degree, n_el):
 def test_basis_at_domain_ends():
     knots = open_knot_vector(4, 3, 0.0, 1.0)
     grid = BasisGrid(knots, 3)
-    idx0, N0, _, _ = grid.eval(0.0)
+    (idx0, idx1), N, _, _ = grid.eval_elements(*grid.locate([0.0, 1.0]))
+    N0, N1 = N[:, 0]
     assert N0[0] == pytest.approx(1.0) and np.allclose(N0[1:], 0.0)
-    idx1, N1, _, _ = grid.eval(1.0)
     assert N1[-1] == pytest.approx(1.0) and np.allclose(N1[:-1], 0.0)
     assert idx1[-1] == len(knots) - 3 - 2
+
+
+def test_locate_takes_the_right_hand_element():
+    knots = open_knot_vector(4, 2, 0.0, 2.0)
+    grid = BasisGrid(knots, 2)
+    e, t = grid.locate([0.0, 0.5, 0.75, 1.5, 2.0])
+    assert e.tolist() == [0, 1, 1, 3, 3]
+    assert t.shape == (5, 1) and t[:, 0].tolist() == [0.0, 0.0, 0.5, 0.0, 1.0]
+    assert grid.element_of(0.5) == 1
 
 
 @given(degree=st.integers(2, 5), n_el=st.integers(1, 6),
@@ -57,7 +67,8 @@ def test_partition_of_unity(degree, n_el, t):
     knots = open_knot_vector(n_el, degree, 0.0, 1.0)
     grid = BasisGrid(knots, degree)
     e = min(int(t * n_el), n_el - 1)
-    _, N, dN, d2N = grid.eval_element(e, t * n_el - e)
+    _, N, dN, d2N = (T[0, 0] for T in grid.eval_elements([e],
+                                                         [[t * n_el - e]]))
     assert np.isclose(N.sum(), 1.0, atol=1e-12)
     assert abs(dN.sum()) < 1e-9
     assert abs(d2N.sum()) < 1e-7
@@ -87,9 +98,10 @@ def test_knot_insertion_preserves_curve():
     ctrl_new = R @ ctrl
     grid_old = BasisGrid(knots, degree)
     grid_new = BasisGrid(new_knots, degree)
-    for u in np.linspace(0, 1, 17):
-        i_o, N_o, _, _ = grid_old.eval(u)
-        i_n, N_n, _, _ = grid_new.eval(u)
+    us = np.linspace(0, 1, 17)
+    (c_o, T_o, _, _), (c_n, T_n, _, _) = (
+        g.eval_elements(*g.locate(us)) for g in (grid_old, grid_new))
+    for u, i_o, N_o, i_n, N_n in zip(us, c_o, T_o[:, 0], c_n, T_n[:, 0]):
         p_old = N_o @ ctrl[i_o]
         p_new = N_n @ ctrl_new[i_n]
         assert np.allclose(p_old, p_new, atol=1e-12), f"curve moved at u={u}"
@@ -111,8 +123,9 @@ def test_greville_linear_precision(degree):
     knots = open_knot_vector(5, degree, 0.0, 3.0)
     g = greville_abscissae(knots, degree)
     grid = BasisGrid(knots, degree)
-    for u in np.linspace(0, 3, 11):
-        idx, N, _, _ = grid.eval(u)
+    us = np.linspace(0, 3, 11)
+    conn, Ns, _, _ = grid.eval_elements(*grid.locate(us))
+    for u, idx, N in zip(us, conn, Ns[:, 0]):
         assert np.isclose(N @ g[idx], u, atol=1e-12), f"linear precision at {u}"
 
 
