@@ -370,14 +370,11 @@ def bending_folded_solve(n_per_patch=2, n_width=2, method=("penalty", 1e4),
         H_dev = max(H_dev, float(np.abs(np.abs(state.H) - H_target).max()))
 
     moments = []
-    for con, how in model.constraints:
+    _, offsets = model.multiplier_layout()
+    for (con, how), off in zip(model.constraints, offsets):
         if isinstance(how, Penalty):
             mom = con.moment(x, how)
         else:
-            nq_off = model.multiplier_layout()[1]
-            idx = [i for i, (c, _) in enumerate(model.constraints)
-                   if c is con][0]
-            off = nq_off[idx]
             qc = hist[-1].q[off:off + con.n_multipliers(how)]
             mom = con.moment(x, (how, qc))
         moments.append(float(np.mean(mom)))

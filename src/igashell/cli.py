@@ -110,7 +110,11 @@ def _cmd_bench(args):
                   file=sys.stderr)
             return 2
         case = doc["case"]
-        params = doc.get("params")
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            print("config error: benchmark 'params' must be an object",
+                  file=sys.stderr)
+            return 2
     if case is not None and case not in CASES:
         print(f"config error: unknown benchmark case '{case}'"
               f" (available: {', '.join(sorted(CASES))})", file=sys.stderr)
@@ -135,6 +139,9 @@ def _cmd_bench(args):
 
 def _cmd_verify(args):
     from .verify import material_models, run_verification
+    if args.states < 1:
+        print("config error: --states must be >= 1", file=sys.stderr)
+        return 2
     models = "all" if args.model == "all" else [args.model]
     if args.model != "all" and args.model not in material_models():
         print(f"config error: unknown material model '{args.model}'"

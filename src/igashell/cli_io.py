@@ -413,11 +413,11 @@ def _check_patch(mesh, idx, where):
 
 def _check_point(mesh, d, where):
     """A point load's or probe's (u, v) lies in its patch's parameter
-    range, the ends included."""
-    (u0, u1), (v0, v1) = mesh.patches[d["patch"]].param_range
-    if not (u0 <= d["u"] <= u1 and v0 <= d["v"] <= v1):
-        raise ConfigError(f"{where}: (u, v) lies outside patch {d['patch']},"
-                          f" [{u0:g}, {u1:g}] x [{v0:g}, {v1:g}]")
+    range, the ends included (``Mesh.check_point``)."""
+    try:
+        mesh.check_point(d["patch"], d["u"], d["v"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _method_obj(c):

@@ -392,7 +392,9 @@ def follower_pressure(pq: PatchQuadrature, p: float, x_nodes, tangent=True):
 
 
 def point_load(mesh: Mesh, patch_idx: int, u: float, v: float, F):
-    """Dead point force: (node_ids, per-node force rows)."""
+    """Dead point force: (node_ids, per-node force rows).  Raises
+    ValueError when (u, v) lies outside the patch (``Mesh.check_point``)."""
+    mesh.check_point(patch_idx, u, v)
     patch = mesh.patches[patch_idx]
     idx, N, _, _ = patch.basis2d(u, v)
     nodes = mesh.patch_node_ids[patch_idx][idx]

@@ -299,6 +299,14 @@ class Mesh:
     def edge_node_ids(self, patch: int, side: str) -> np.ndarray:
         return self.patch_node_ids[patch][self.patches[patch].edge_point_indices(side)]
 
+    def check_point(self, patch: int, u: float, v: float) -> None:
+        """Raise ValueError unless (u, v) lies in the patch's parameter
+        range, the ends included: the basis would extrapolate there."""
+        (u0, u1), (v0, v1) = self.patches[patch].param_range
+        if not (u0 <= u <= u1 and v0 <= v <= v1):
+            raise ValueError(f"(u, v) = ({u:g}, {v:g}) lies outside patch "
+                             f"{patch}, [{u0:g}, {u1:g}] x [{v0:g}, {v1:g}]")
+
     # interfaces ----------------------------------------------------------
 
     def detect_interfaces(self) -> list[Interface]:

@@ -18,11 +18,18 @@ patches that number their nodes row by row, and multi-patch models chain
 their patches, so the free block is a narrow band.  It is factored in the
 natural DOF order or in reverse Cuthill-McKee order (Cuthill and McKee,
 ACM 1969), whichever gives the narrower band; the order and the scatter
-into band storage are planned once per layout and set of free DOFs
-(``_band_plan``).  One factorization with its scatter, against SuperLU
-(A^T + A minimum degree in symmetric mode, or its defaults for saddle
-points), at a deformed state, best of 20 runs (3 on the 32 x 32
-cylinder) on a 2-core Xeon with one BLAS thread:
+of K's free entries into band storage are planned once per layout and set
+of free DOFs (``_band_plan``).  The free block is never formed as a matrix
+of its own: the band is filled from the entries of the assembled CSR K,
+and a product K_ff dz is taken as (K @ upd)[free] with upd zero off the
+free DOFs.  That adds each row's terms in the same ascending-column order
+as a mat-vec of the free block; a prescribed column adds a * 0.0, which
+can change only the sign of an exact zero.
+
+One factorization with its scatter, against SuperLU (A^T + A minimum
+degree in symmetric mode, or its defaults for saddle points), at a
+deformed state, best of 20 runs (3 on the 32 x 32 cylinder) on a 2-core
+Xeon with one BLAS thread:
 
     free system                      DOFs   order, kl       SuperLU    band
     8 x 8 hemisphere with a hole      279   natural, 64     1.26       0.32 ms
@@ -271,11 +278,6 @@ class Model:
         return (_block_pass(block, method, self.material, x, q)
                 for block, method in lay.blocks)
 
-    def free_tangent(self, K, free):
-        """K[free][:, free] as a CSC matrix, gathered from K.data through a
-        map built once per layout and set of free DOFs."""
-        return self._current_layout().free_block(K, free)
-
 
 _F_NAMES = ("f_a", "f_b", "f_q")
 _K_NAMES = ("K_aa", "K_bb", "K_ab", "K_aq", "K_bq")
@@ -386,8 +388,8 @@ class _Layout:
     the DOF indices of the force terms.  The stiffness entries, followed by
     those of the follower loads, fill the CSR pattern ``indptr``/``indices``
     through the summation matrix ``S`` (``_csr_pattern``).  Each set of free
-    DOFs gets, once, the map that gathers K's free block and the band plan
-    that factors it (``_free_maps``).
+    DOFs gets, once, the band plan that scatters K's free block from K.data
+    and factors it (``_free_maps``).
     """
 
     def __init__(self, model):
@@ -448,8 +450,7 @@ class _Layout:
         self.indptr, self.indices, self.S = _csr_pattern(rows, cols, self.n)
         for a in (self.indptr, self.indices):
             a.flags.writeable = False       # shared by every K
-        # (free mask, take, indptr, indices, band plan)
-        self._free = (None,)
+        self._free = (None, None)           # (free mask, band plan)
 
     def fill(self, vals):
         """K as CSR from its entries in entry order, by one mat-vec."""
@@ -459,80 +460,57 @@ class _Layout:
         return K
 
     def _free_maps(self, free):
-        """(free mask, take, indptr, indices, band plan) of a set of free
-        DOFs (``_free_pattern``, ``_band_plan``), built on its first use."""
+        """(free mask, band plan) of a set of free DOFs (``_band_plan``),
+        built on its first use."""
         if self._free[0] is None or not np.array_equal(self._free[0], free):
-            pattern = _free_pattern(self.indptr, self.indices, free)
-            self._free = ((free.copy(),) + pattern
-                          + (_band_plan(*pattern[1:]),))
+            self._free = (free.copy(),
+                          _band_plan(self.indptr, self.indices, free))
         return self._free
 
-    def free_block(self, K, free):
-        """K[free][:, free].tocsc(), bit for bit, by one gather."""
-        _, take, indptr, indices, _ = self._free_maps(free)
-        Kff = sp.csc_matrix((K.data[take], indices, indptr),
-                            shape=(len(indptr) - 1,) * 2)
-        Kff.has_canonical_format = True
-        return Kff
 
+def _band_plan(indptr, indices, free):
+    """(take, perm, kl, ku, pos): how the free block K[free][:, free] of a
+    K with CSR pattern (indptr, indices) is factored in band storage.
 
-def _free_pattern(indptr, indices, free):
-    """(take, indptr, indices): the CSC pattern of K[free][:, free] for the
-    CSR pattern of K, and the entry of K.data each of its entries takes."""
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    keep = np.flatnonzero(free[rows] & free[indices])
-    # CSR entries run by (row, column); a stable sort by column gives the
-    # CSC order (column, row)
-    take = keep[np.argsort(indices[keep], kind="stable")]
-    renum = np.cumsum(free) - 1
-    ff_indptr = np.zeros(np.count_nonzero(free) + 1, dtype=indices.dtype)
-    np.cumsum(np.bincount(renum[indices[take]],
-                          minlength=len(ff_indptr) - 1), out=ff_indptr[1:])
-    ff_indices = renum[rows[take]].astype(indices.dtype)
-    for a in (ff_indptr, ff_indices):
-        a.flags.writeable = False           # shared by every Kff
-    return take, ff_indptr, ff_indices
-
-
-def _band_plan(indptr, indices):
-    """(perm, kl, ku, pos): how the free block with CSC pattern (indptr,
-    indices) is factored in band storage.
-
-    Row and column k of the factored matrix are DOF perm[k] of the block:
-    the natural order or the reverse Cuthill-McKee order of the pattern,
-    whichever has the smaller kl + ku (module docstring).  The pattern is
-    symmetric, every off-diagonal block of K coming with its mirror, so
-    the CSC arrays read as CSR are the same pattern.  kl and ku are
-    the band's sub- and super-diagonals, and entry e of the block's data
-    lands at flat index pos[e] of the Fortran-ordered band array, whose
-    leading dimension is 2 kl + ku + 1 (LAPACK ``dgbtrf`` storage, with kl
-    rows above the band for the pivots' fill).
+    ``take`` lists the entries of K.data that couple two free DOFs, in CSR
+    order.  Row and column k of the factored matrix are free DOF perm[k]:
+    the natural order or the reverse Cuthill-McKee order of the block's
+    pattern, whichever has the smaller kl + ku (module docstring).  The
+    pattern is symmetric, every off-diagonal block of K coming with its
+    mirror.  kl and ku are the band's sub- and super-diagonals, and entry
+    K.data[take[e]] lands at flat index pos[e] of the Fortran-ordered band
+    array, whose leading dimension is 2 kl + ku + 1 (LAPACK ``dgbtrf``
+    storage, with kl rows above the band for the pivots' fill).
     """
-    n = len(indptr) - 1
-    cols = np.repeat(np.arange(n), np.diff(indptr))
-    pattern = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                            shape=(n, n))
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    take = np.flatnonzero(free[rows] & free[indices])
+    renum = np.cumsum(free) - 1
+    rows, cols = renum[rows[take]], renum[indices[take]]
+    n = np.count_nonzero(free)
+    pattern = sp.csr_matrix((np.ones(len(take)), (rows, cols)), shape=(n, n))
     best = None
     for perm in (np.arange(n), reverse_cuthill_mckee(pattern,
                                                      symmetric_mode=True)):
         inv = np.empty(n, dtype=np.intp)
         inv[perm] = np.arange(n)
-        i, j = inv[indices], inv[cols]
+        i, j = inv[rows], inv[cols]
         kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
-        if best is None or kl + ku < best[1] + best[2]:
-            best = (perm, kl, ku, kl + ku + i - j + (2 * kl + ku + 1) * j)
+        if best is None or kl + ku < best[2] + best[3]:
+            best = (take, perm, kl, ku,
+                    kl + ku + i - j + (2 * kl + ku + 1) * j)
     return best
 
 
 class _BandLU:
-    """LU factors with partial pivoting of a free tangent in band storage
-    (``_band_plan``); ``solve(b)`` solves with them in the block's order."""
+    """LU factors with partial pivoting of the free tangent of K in band
+    storage, scattered from K.data by a ``_band_plan``; ``solve(b)`` solves
+    with them in the order of the free DOFs."""
 
     def __init__(self, plan, data):
-        self.perm, self.kl, self.ku, pos = plan
+        take, self.perm, self.kl, self.ku, pos = plan
         n = len(self.perm)
         band = np.zeros(n * (2 * self.kl + self.ku + 1))
-        band[pos] = data
+        band[pos] = data[take]
         self.lu, self.piv, info = dgbtrf(band.reshape(n, -1).T, self.kl,
                                          self.ku, overwrite_ab=1)
         if info < 0:
@@ -549,11 +527,11 @@ class _BandLU:
         return x
 
 
-def _factorize(model, Kff, free):
-    """Band LU of the free tangent Kff = K[free][:, free] of the model's
-    current layout, by the plan of that layout and set of free DOFs.
-    Raises RuntimeError when Kff is exactly singular."""
-    return _BandLU(model._current_layout()._free_maps(free)[4], Kff.data)
+def _factorize(model, K, free):
+    """Band LU of the free tangent K[free][:, free] of a K assembled on the
+    model's current layout, by the plan of that layout and set of free
+    DOFs.  Raises RuntimeError when the free tangent is exactly singular."""
+    return _BandLU(model._current_layout()._free_maps(free)[1], K.data)
 
 
 LINEAR_RESIDUAL = 1e-3    # largest relative residual of a linear solve
@@ -567,11 +545,12 @@ def linear_solve(model: Model):
     tabulate; iterating to nonlinear equilibrium would change the answer.
     At x = X a strain-based law carries no stress, so ``force_pass``
     skips the geometric stiffness there and K is the material part alone.
-    The free tangent is factored by ``_factorize``.  Returns (x_nodes, q).
+    The free tangent is factored straight from K by ``_factorize``.
+    Returns (x_nodes, q).
 
     Raises NonConvergenceError when the free tangent is singular: exactly,
     or numerically, when the solve leaves a relative residual |rhs -
-    Kff dz| / |rhs| above LINEAR_RESIDUAL.  An unsupported plate leaves
+    K_ff dz| / |rhs| above LINEAR_RESIDUAL.  An unsupported plate leaves
     49; every well-posed linear model measured leaves at most 3.8e-5
     (criterion 4's hemisphere), the pinched cylinders at most 2.1e-6,
     criterion 5's plate 2.2e-8 and the folded strips 1.8e-9.
@@ -584,13 +563,14 @@ def linear_solve(model: Model):
     r, K, _ = model.assemble(mesh.node_coords, np.zeros(nq), 1.0)
     z = np.zeros(nd + nq)
     z[:nd][model._presc_mask] = model._presc_value[model._presc_mask]
-    rhs = -(r + K @ z)
-    Kff, rhs = model.free_tangent(K, free), rhs[free]
+    rhs = -(r + K @ z)[free]
     try:
-        dz = _factorize(model, Kff, free).solve(rhs)
+        dz = _factorize(model, K, free).solve(rhs)
     except RuntimeError as exc:
         raise NonConvergenceError(f"linear solve failed: {exc}") from exc
-    res, ref = np.linalg.norm(rhs - Kff @ dz), np.linalg.norm(rhs)
+    upd = np.zeros(nd + nq)
+    upd[free] = dz
+    res, ref = np.linalg.norm(rhs - (K @ upd)[free]), np.linalg.norm(rhs)
     if not res <= LINEAR_RESIDUAL * ref:
         raise NonConvergenceError(
             f"linear solve failed: |rhs - K dz| = {res:.3g} for |rhs| = "
@@ -600,7 +580,9 @@ def linear_solve(model: Model):
 
 
 def displacement_at(mesh, x_nodes, patch: int, u: float, v: float):
-    """Interpolated displacement of the surface point (u, v) on a patch."""
+    """Interpolated displacement of the surface point (u, v) on a patch.
+    Raises ValueError when (u, v) lies outside it (``Mesh.check_point``)."""
+    mesh.check_point(patch, u, v)
     ptch = mesh.patches[patch]
     idx, N, _, _ = ptch.basis2d(u, v)
     nodes = mesh.patch_node_ids[patch][idx]
@@ -760,20 +742,18 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
             saved, excur = None, 0      # excursion paid off
         if rnorm <= 0.5 * best:
             best = rnorm
-        Kff = model.free_tangent(K, free)
+        upd = np.zeros(len(r))
         try:
-            lu = _factorize(model, Kff, free)
-            dz = lu.solve(-rf)
+            lu = _factorize(model, K, free)
+            upd[free] = lu.solve(-rf)
             # one round of iterative refinement; penalty-dominated tangents
             # are ill-conditioned enough for the raw LU direction to carry
             # constraint-violating noise
-            dz += lu.solve(-rf - Kff @ dz)
+            upd[free] += lu.solve(-rf - (K @ upd)[free])
         except RuntimeError:
             return None, it, rnorm
-        if not np.all(np.isfinite(dz)):
+        if not np.all(np.isfinite(upd)):
             return None, it, rnorm
-        upd = np.zeros(len(r))
-        upd[free] = dz
 
         try:
             r_full = float(np.linalg.norm(model.assemble(

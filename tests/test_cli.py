@@ -137,12 +137,30 @@ def test_bench_writes_case_csv(tmp_path, capsys):
     assert "plate_sinusoidal,2,4x4" in lines
 
 
+@pytest.mark.parametrize("params", [5, [2], "levels", None])
+def test_bench_params_not_an_object_exits_2(tmp_path, capsys, params):
+    cfg = _write(tmp_path, {"case": "plate_sinusoidal", "params": params},
+                 "bench.json")
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "plate_sinusoidal.csv").exists()
+
+
 def test_verify_tangents_passes(capsys):
     rc = main(["verify-tangents", "--model", "koiter", "--states", "3",
                "--deterministic"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "koiter" in out and "global_tangent" in out and "FAIL" not in out
+
+
+def test_verify_tangents_without_states_exits_2(capsys):
+    """--states 0 checks nothing, so it must not report every law as ok."""
+    for states in ("0", "-1"):
+        assert main(["verify-tangents", "--model", "koiter", "--states",
+                     states, "--deterministic"]) == 2
+        captured = capsys.readouterr()
+        assert "--states" in captured.err and "ok" not in captured.out
 
 
 def test_verify_tangents_unknown_model_exits_2(capsys):

@@ -82,6 +82,27 @@ def test_prescribed_edge_displacement_drives_reaction():
     assert abs(r[2::3].sum()) < 1e-9 * np.abs(reactions).max()
 
 
+def test_points_outside_the_patch_raise():
+    """displacement_at and add_point_force reject a (u, v) outside the
+    patch's parameter range instead of extrapolating; its ends are in."""
+    mesh = Mesh([make_plate(1.0, 1.0, 2, 2, 2)])
+    model = Model(mesh, KoiterMaterial.from_youngs(E, NU, T))
+    x = mesh.node_coords.copy()
+    x[:, 2] = 0.01 * mesh.node_coords[:, 0]
+    for u, v in ((3.0, 0.5), (0.5, -0.25), (1.0 + 1e-12, 1.0),
+                 (0.0, np.nan)):
+        with pytest.raises(ValueError, match="outside patch 0"):
+            displacement_at(mesh, x, 0, u, v)
+        with pytest.raises(ValueError, match="outside patch 0"):
+            model.add_point_force(0, u, v, [0.0, 0.0, 1.0])
+    assert model.dead_forces == []
+    for u, v in ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)):
+        assert displacement_at(mesh, x, 0, u, v)[2] == pytest.approx(
+            0.01 * u, abs=1e-15)
+        model.add_point_force(0, u, v, [0.0, 0.0, 1.0])
+    assert len(model.dead_forces) == 4
+
+
 def coupled_strip(method):
     """A clamped flat two-patch strip, its interface coupled by ``method``,
     under a tip point load."""
@@ -488,10 +509,20 @@ def test_stacked_assembly_many_blocks():
 
 
 def assert_free_block(model, K, free):
-    """The gathered free-DOF block is K[free][:, free].tocsc() exactly."""
-    Kff, ref = model.free_tangent(K, free), K[free][:, free].tocsc()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(Kff, name), getattr(ref, name))
+    """The band array that the plan of (layout, free) scatters from K.data
+    is K[free][:, free] in perm order, bit for bit, with zeros elsewhere."""
+    take, perm, kl, ku, pos = model._current_layout()._free_maps(free)[1]
+    n, ld = len(perm), 2 * kl + ku + 1
+    band = np.zeros(n * ld)
+    band[pos] = K.data[take]
+    band = band.reshape(n, ld).T        # A[i, j] at band[kl + ku + i - j, j]
+    assert not band[:kl].any()          # the rows kept for the pivots' fill
+    i, j = np.indices((n, n))
+    inside = (i - j <= kl) & (j - i <= ku)
+    got = np.zeros((n, n))
+    got[inside] = band[(kl + ku + i - j)[inside], j[inside]]
+    want = K[free][:, free].toarray()[np.ix_(perm, perm)]
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("method", [("lm", "n2q1c"), ("penalty", 1e4)])
@@ -573,13 +604,13 @@ def free_dofs(model):
 
 
 def recorded_factorizations(monkeypatch):
-    """A list that grows by one (Kff, LU) entry per factorization."""
+    """A list that grows by one (K, LU) entry per factorization."""
     calls = []
     factorize = solver_mod._factorize
 
-    def recording_factorize(model, Kff, free):
-        lu = factorize(model, Kff, free)
-        calls.append((Kff, lu))
+    def recording_factorize(model, K, free):
+        lu = factorize(model, K, free)
+        calls.append((K, lu))
         return lu
 
     monkeypatch.setattr(solver_mod, "_factorize", recording_factorize)
@@ -601,11 +632,11 @@ def test_one_factor_path_for_penalty_and_saddle_systems(monkeypatch, method):
     nq, _ = model.multiplier_layout()
     assert (nq > 0) == isinstance(method, Multiplier)
     assert len(calls) > 2
-    for Kff, lu in calls:
+    for K, lu in calls:
         assert type(lu) is solver_mod._BandLU
         assert lu.perm is calls[0][1].perm
         if nq:
-            assert not Kff.diagonal()[-nq:].any()
+            assert not K.diagonal()[-nq:].any()
 
 
 def test_every_tangent_is_factorized(monkeypatch):
@@ -647,11 +678,11 @@ def test_band_solve_matches_dense_solve(build):
     model = build()
     _, K, _ = model.assemble(*perturbed_state(model), 0.7)
     free = free_dofs(model)
-    Kff = model.free_tangent(K, free)
+    Kff = K[free][:, free]
     if build is follower_cantilever:
         assert abs(Kff - Kff.T).max() > 1e-6 * abs(Kff).max()
     b = np.random.default_rng(7).standard_normal(Kff.shape[0])
-    got = solver_mod._factorize(model, Kff, free).solve(b)
+    got = solver_mod._factorize(model, K, free).solve(b)
     A, eps = Kff.toarray(), np.finfo(float).eps
     want = np.linalg.solve(A, b)
     assert (np.linalg.norm(b - A @ got)
@@ -660,13 +691,34 @@ def test_band_solve_matches_dense_solve(build):
             <= 10.0 * eps * np.linalg.cond(A, 1) * np.linalg.norm(want))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_bending_folded(2, 2, ("penalty", 1e4))[0],
+    lambda: build_bending_folded(2, 2, ("lm", "n2q0"))[0],
+    follower_cantilever,
+], ids=["penalty_strip", "multiplier_strip", "follower_load"])
+def test_full_mat_vec_is_the_free_block_mat_vec(build):
+    """Newton's and linear_solve's product (K @ upd)[free], with upd zero
+    off the free DOFs, is the free block's product K[free][:, free] @ dz
+    exactly: CSR and CSC mat-vecs add a row's terms in the same order."""
+    model = build()
+    _, K, _ = model.assemble(*perturbed_state(model), 0.7)
+    free = free_dofs(model)
+    assert not free.all()
+    dz = np.random.default_rng(5).standard_normal(np.count_nonzero(free))
+    upd = np.zeros(K.shape[0])
+    upd[free] = dz
+    assert np.array_equal((K @ upd)[free], K[free][:, free] @ dz)
+    assert np.array_equal((K @ upd)[free], K[free][:, free].tocsc() @ dz)
+
+
 def band_plan(model):
-    return model._current_layout()._free_maps(free_dofs(model))[4]
+    return model._current_layout()._free_maps(free_dofs(model))[1]
 
 
 def natural_bandwidth(model):
     _, K, _ = model.assemble(*perturbed_state(model), 1.0)
-    Kff = model.free_tangent(K, free_dofs(model)).tocoo()
+    free = free_dofs(model)
+    Kff = K[free][:, free].tocoo()
     return int(np.abs(Kff.row - Kff.col).max())
 
 
@@ -675,11 +727,11 @@ def test_band_plan_takes_the_narrower_order():
     folded strip's multiplier rows come after every displacement and
     take the reverse Cuthill-McKee order."""
     hemisphere = build_hemisphere_hole(2, 8)
-    perm, kl, ku, _ = band_plan(hemisphere)
+    _, perm, kl, ku, _ = band_plan(hemisphere)
     assert np.array_equal(perm, np.arange(len(perm)))
     assert kl == ku == natural_bandwidth(hemisphere) == 64
     strip = build_bending_folded(2, 2, ("lm", "n2q0"))[0]
-    perm, kl, ku, _ = band_plan(strip)
+    _, perm, kl, ku, _ = band_plan(strip)
     assert not np.array_equal(perm, np.arange(len(perm)))
     assert (kl, ku, natural_bandwidth(strip)) == (59, 59, 291)
 
@@ -690,22 +742,23 @@ def test_singular_tangent_raises_and_newton_cuts_the_step(monkeypatch):
     _, model = cantilever_model(load=2e-5)
     x, q = perturbed_state(model)
     free = ~model._presc_mask
+    col = np.flatnonzero(free)[3]
     _, K, _ = model.assemble(x, q, 1.0)
-    Kff = model.free_tangent(K, free)
-    Kff.data[Kff.indptr[3]:Kff.indptr[4]] = 0.0      # one zero column
+    K.data[K.indices == col] = 0.0                  # one zero free column
     with pytest.raises(RuntimeError):
-        solver_mod._factorize(model, Kff, free)
+        solver_mod._factorize(model, K, free)
 
-    free_tangent, calls = Model.free_tangent, []
+    assemble, calls = Model.assemble, []
 
-    def singular_first(self, K, free):
-        Kff = free_tangent(self, K, free)
-        calls.append(None)
-        if len(calls) == 1:
-            Kff.data[Kff.indptr[3]:Kff.indptr[4]] = 0.0
-        return Kff
+    def singular_first(self, *args, **kwargs):
+        r, K, f_ext = assemble(self, *args, **kwargs)
+        if K is not None:
+            calls.append(None)
+            if len(calls) == 1:
+                K.data[K.indices == col] = 0.0
+        return r, K, f_ext
 
-    monkeypatch.setattr(Model, "free_tangent", singular_first)
+    monkeypatch.setattr(Model, "assemble", singular_first)
     hist = solve(model, n_steps=1, max_cuts=1)
     assert [h.lam for h in hist] == [0.5, 1.0]
 
