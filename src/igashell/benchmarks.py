@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from .cli_io import ConfigError, _reject_unknown
 from .constraints import Multiplier, Penalty, RotationConstraint
 from .geometry import (Mesh, make_cylinder_panel, make_folded_strip,
                        make_plate, make_sphere_panel, skew_patch)
@@ -76,9 +77,43 @@ def hemisphere_linear_deflection(degree=4, n=16, material="koiter"):
     return float(-dA[0])
 
 
+def _params(defaults, params, where="params"):
+    """defaults updated by params, which may hold only keys of defaults,
+    each with a value like its default (``_like``); a nested object is
+    checked the same way and replaces its default whole.  Raises
+    ConfigError otherwise."""
+    params = params or {}
+    _reject_unknown(params, defaults, where)
+    for key, value in params.items():
+        if isinstance(defaults[key], dict) and isinstance(value, dict):
+            _params(defaults[key], value, f"{where}.{key}")
+        elif not _like(defaults[key], value):
+            raise ConfigError(f"{where}: '{key}' = {value!r} is unlike its "
+                              f"default {defaults[key]!r}")
+    return {**defaults, **params}
+
+
+def _like(default, value):
+    """True when value is of default's kind, where a float takes an integer
+    too, a list a non-empty list of entries each like one of its entries,
+    and a tuple a list like it entry by entry, whose strings are tags that
+    must match."""
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple)) and (
+            len(value) > 0 and all(any(_like(d, v) for d in default)
+                                   for v in value)
+            if isinstance(default, list) else
+            len(value) == len(default) and all(
+                v == d if isinstance(d, str) else _like(d, v)
+                for d, v in zip(default, value)))
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
 def run_hemisphere_linear(params=None):
-    p = dict(degrees=(2, 3, 4), levels=(4, 8, 16), material="koiter")
-    p.update(params or {})
+    p = _params(dict(degrees=[2, 3, 4], levels=[4, 8, 16],
+                     material="koiter"), params)
     rows = []
     for deg in p["degrees"]:
         for n in p["levels"]:
@@ -137,8 +172,7 @@ def plate_center_deflection(degree=4, n=16):
 
 
 def run_plate_sinusoidal(params=None):
-    p = dict(degrees=(2, 3, 4), levels=(4, 8, 16))
-    p.update(params or {})
+    p = _params(dict(degrees=[2, 3, 4], levels=[4, 8, 16]), params)
     ref = navier_plate_center_deflection(PLATE["p0"], PLATE["L"], PLATE["E"],
                                          PLATE["nu"], PLATE["T"])
     rows = []
@@ -210,8 +244,7 @@ def cylinder_linear_deflection(degree=4, n=32):
 
 
 def run_cylinder_linear(params=None):
-    p = dict(degrees=(4,), levels=(8, 16, 32))
-    p.update(params or {})
+    p = _params(dict(degrees=[4], levels=[8, 16, 32]), params)
     ref = flugge_reference()
     rows = []
     for deg in p["degrees"]:
@@ -292,9 +325,8 @@ def bending_flat_l2(n=8, scheme="single", M=1.0, n_steps=8):
 
 
 def run_bending_flat(params=None):
-    p = dict(levels=(2, 4, 8, 16), schemes=("single", "single_skew",
-                                            "double", "double_skew"))
-    p.update(params or {})
+    p = _params(dict(levels=[2, 4, 8, 16], schemes=[
+        "single", "single_skew", "double", "double_skew"]), params)
     rows = []
     for scheme in p["schemes"]:
         for n in p["levels"]:
@@ -383,10 +415,10 @@ def bending_folded_solve(n_per_patch=2, n_width=2, method=("penalty", 1e4),
 
 
 def run_bending_folded(params=None):
-    p = dict(levels=(1, 2, 4), n_width=2,
-             methods=[("penalty", 1e2), ("penalty", 1e3), ("penalty", 1e4),
-                      ("lm", "n2q0"), ("lm", "n2q1c")])
-    p.update(params or {})
+    p = _params(dict(levels=[1, 2, 4], n_width=2,
+                     methods=[("penalty", 1e2), ("penalty", 1e3),
+                              ("penalty", 1e4), ("lm", "n2q0"),
+                              ("lm", "n2q1c")]), params)
     rows = []
     for method in [tuple(m) for m in p["methods"]]:
         for n in p["levels"]:
@@ -441,8 +473,7 @@ def cantilever_curve(skew=0.0, degree=3, n=10, n_steps=8):
 
 
 def run_cantilever(params=None):
-    p = dict(skews=(0.0, 0.2), degree=3, n=10, n_steps=8)
-    p.update(params or {})
+    p = _params(dict(skews=[0.0, 0.2], degree=3, n=10, n_steps=8), params)
     rows = []
     for skew in p["skews"]:
         t0 = time.perf_counter()
@@ -581,10 +612,9 @@ def cylinder_free_path(degree=2, n=20, n_steps=16):
 
 
 def run_nonlinear_checkpoints(params=None):
-    p = dict(hole=dict(degree=2, n=16, n_steps=16),
-             pinch=dict(degree=2, n=16, n_steps=18, w_max=90.0),
-             free=dict(degree=2, n=16, n_steps=16))
-    p.update(params or {})
+    p = _params(dict(hole=dict(degree=2, n=16, n_steps=16),
+                     pinch=dict(degree=2, n=16, n_steps=18, w_max=90.0),
+                     free=dict(degree=2, n=16, n_steps=16)), params)
     rows = []
     t0 = time.perf_counter()
     hole = hemisphere_hole_path(**p["hole"])

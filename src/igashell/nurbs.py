@@ -14,8 +14,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -68,12 +66,12 @@ def element_spans(knots: np.ndarray) -> np.ndarray:
 def scalar_square(x) -> np.ndarray:
     """x ** 2 elementwise, rounded as a float64 scalar rounds it.
 
-    A scalar power calls the C library's pow, while NumPy squares arrays;
-    the two differ in the last bit for about one value in a thousand.
-    Batched tables use this to stay bit-identical to point evaluations.
+    A scalar power calls the C library's pow, while NumPy squares arrays
+    (``x ** 2`` is ``x * x``); the two differ in the last bit for about one
+    value in a thousand.  ``float_power`` calls pow on every entry, so
+    batched tables stay bit-identical to point evaluations.
     """
-    x = np.asarray(x, dtype=float)
-    return np.array([math.pow(v, 2.0) for v in x.ravel()]).reshape(x.shape)
+    return np.float_power(np.asarray(x, dtype=float), 2.0)
 
 
 def bernstein(degree: int, t: np.ndarray):

@@ -57,8 +57,11 @@ dalpha . du) at the configuration of the tangent the update solved, in
 place of the moment eps e at the new iterate.  The residual, and so every
 converged state, is that of the displacement form.  m starts every
 attempt of a load step at eps e(x), so the first tangent of every step is
-the displacement tangent.  ``assemble`` without the moment state, as ``linear_solve`` and
-the tangent checks call it, gives the displacement tangent.
+the displacement tangent, and so is that of ``assemble``.
+
+One kernel pass per configuration: ``Model.evaluate`` returns the
+``_State`` of one, and Newton holds its states itself (``_newton``).  The
+model keeps no configuration.
 """
 
 import warnings
@@ -113,20 +116,15 @@ class Model:
     for bit those of one kernel call per patch and per edge converted by
     ``tocsr``.
 
-    One kernel pass per configuration: every block's kernel runs as a pass
-    that returns the forces and a finisher that builds the stiffness from
-    what the pass computed (``_block_pass``).  The model keeps the passes
-    of its last residual-only assembly, keyed by the layout and private
-    copies of x and q, and a tangent assembly at that same configuration,
-    bit for bit, finishes them instead of running the kernels again --
-    Newton's tangent at an accepted trial point is such a one.
+    A model holds no configuration: ``evaluate`` runs the kernels at one,
+    and ``assemble`` finishes that at once.
     """
 
-    def __init__(self, mesh, material, n_gauss=None):
+    def __init__(self, mesh, material):
         self.mesh = mesh
         self.material = material
         self.quads = [PatchQuadrature(p, mesh.patch_node_ids[i],
-                                      mesh.node_coords, n_gauss=n_gauss)
+                                      mesh.node_coords)
                       for i, p in enumerate(mesh.patches)]
         self._edge_cache = {}
         self.dead_forces = []       # (dofs (nel, nd), values) at unit factor
@@ -136,7 +134,6 @@ class Model:
         self._presc_mask = np.zeros(mesh.n_dofs, dtype=bool)
         self._presc_value = np.zeros(mesh.n_dofs)
         self._layout = (None, None)     # (key, _Layout)
-        self._kept = None               # (layout, x, q, passes)
 
     # -- loads ----------------------------------------------------------
 
@@ -227,56 +224,60 @@ class Model:
             self._layout = (key, _Layout(self))
         return self._layout[1]
 
-    def assemble(self, x, q, lam: float, tangent: bool = True,
-                 moments=None):
-        """Residual and sparse tangent of the full saddle system.
+    def evaluate(self, x, q):
+        """The ``_State`` of one kernel pass per block at (x, q)."""
+        return _State(self, x, q)
 
-        Returns (r, K or None, f_ext).  A residual-only assembly keeps its
-        kernel passes, and a tangent assembly at the same layout, x and q
-        finishes them (class docstring); any other assembly drops them.
-        ``moments`` is the MIP moment state of a Newton attempt
-        (``_Moments``): a tangent assembly finishes its penalty blocks at
-        their moment fields and leaves their predictors in it.  Without it
-        K is the displacement tangent.
-        """
-        nd = self.mesh.n_dofs
-        lay = self._current_layout()
-        passes = self._passes(lay, x, q)
-        if tangent:
-            m = {} if moments is None else moments.m
-            out = [{**forces, **finish(m.get(b))}
-                   for b, (forces, finish) in enumerate(passes)]
-            if moments is not None:
-                moments.predict = {b: o["predict"] for b, o in enumerate(out)
-                                   if "predict" in o}
-        else:
-            passes = list(passes)
-            self._kept = (lay, np.array(x), np.array(q), passes)
-            out = [forces for forces, _ in passes]
-        r = np.bincount(lay.f_rows, np.concatenate(
-            [out[b][name][e0:e1].ravel() for b, name, e0, e1 in lay.f_plan]),
-            minlength=lay.n)
-        f_ext, ext_trips = self.external_force(x, lam, tangent)
-        r[:nd] -= f_ext
-        K = None
-        if tangent:
-            vals = [(out[b][name][e0:e1].transpose(0, 2, 1) if mirror
-                     else out[b][name][e0:e1]).ravel()
-                    for b, name, e0, e1, mirror in lay.k_plan]
-            vals += [-Ke.ravel() for _, _, Ke in ext_trips]
-            K = lay.fill(np.concatenate(vals))
-        return r, K, f_ext
+    def assemble(self, x, q, lam: float, tangent: bool = True):
+        """Residual and sparse displacement tangent of the full saddle
+        system: (r, K or None, f_ext), one ``evaluate`` finished at once."""
+        state = self.evaluate(x, q)
+        r, f_ext = state.residual(lam)
+        return r, (state.tangent(lam)[0] if tangent else None), f_ext
 
-    def _passes(self, lay, x, q):
-        """An iterator over the block passes at (lay, x, q): the kept ones
-        if they were made there, else fresh ones.  The model lets go of
-        the kept ones either way, so a finished pass is freed."""
-        kept, self._kept = self._kept, None
-        if (kept is not None and kept[0] is lay and _same_bits(kept[1], x)
-                and _same_bits(kept[2], q)):
-            return iter(kept[3])
-        return (_block_pass(block, method, self.material, x, q)
-                for block, method in lay.blocks)
+
+class _State:
+    """One kernel pass per block (``_block_pass``) at a configuration:
+    private copies of x and q, f_int (the passes' forces summed in entry
+    order) and the finishers that ``tangent`` runs, once."""
+
+    def __init__(self, model, x, q):
+        self.x, self.q = np.array(x), np.array(q)
+        self._model = model
+        self._lay = lay = model._current_layout()
+        passes = [_block_pass(block, method, model.material, self.x, self.q)
+                  for block, method in lay.blocks]
+        self.f_int = np.bincount(lay.f_rows, np.concatenate(
+            [passes[b][0][name][e0:e1].ravel()
+             for b, name, e0, e1 in lay.f_plan]), minlength=lay.n)
+        self._finishers = [finish for _, finish in passes]
+
+    def residual(self, lam):
+        """(r, f_ext): r = f_int + f_con - f_ext at load factor lam."""
+        f_ext, _ = self._model.external_force(self.x, lam, tangent=False)
+        r = self.f_int.copy()
+        r[:self._model.mesh.n_dofs] -= f_ext
+        return r, f_ext
+
+    def tangent(self, lam, m=None):
+        """(K, predictors): K finishes each penalty block b at the MIP
+        moment field m[b], or at the displacement tangent without one, and
+        predictors holds their moment predictors.  Raises RuntimeError
+        when called again."""
+        if self._finishers is None:
+            raise RuntimeError("this state's tangent was already formed")
+        finishers, self._finishers = self._finishers, None
+        m = m or {}
+        out = [finish(m.get(b)) for b, finish in enumerate(finishers)]
+        predictors = {b: o["predict"] for b, o in enumerate(out)
+                      if "predict" in o}
+        lay = self._lay
+        vals = [(out[b][name][e0:e1].transpose(0, 2, 1) if mirror
+                 else out[b][name][e0:e1]).ravel()
+                for b, name, e0, e1, mirror in lay.k_plan]
+        _, ext_trips = self._model.external_force(self.x, lam)
+        vals += [-Ke.ravel() for _, _, Ke in ext_trips]
+        return lay.fill(np.concatenate(vals)), predictors
 
 
 _F_NAMES = ("f_a", "f_b", "f_q")
@@ -543,10 +544,11 @@ def linear_solve(model: Model):
     The stiffness and loads are evaluated on the undeformed geometry, which
     is the small-deflection solution the classical linear shell benchmarks
     tabulate; iterating to nonlinear equilibrium would change the answer.
-    At x = X a strain-based law carries no stress, so ``force_pass``
-    skips the geometric stiffness there and K is the material part alone.
-    The free tangent is factored straight from K by ``_factorize``.
-    Returns (x_nodes, q).
+    K is the displacement tangent of one ``assemble`` at x = X.  There a
+    strain-based law carries no stress, so ``force_pass`` skips the
+    geometric stiffness and K is the material part alone.  The free
+    tangent is factored straight from K by ``_factorize``.  Returns
+    (x_nodes, q).
 
     Raises NonConvergenceError when the free tangent is singular: exactly,
     or numerically, when the solve leaves a relative residual |rhs -
@@ -609,6 +611,7 @@ def solve(model: Model, n_steps: int = 1, tol_rel: float = 1e-8,
     q = np.zeros(nq)
     history = []
     lam_done, dlam, cuts = 0.0, 1.0 / n_steps, 0
+    state = None            # the last attempt's final unfinished state
 
     while lam_done < 1.0 - 1e-12:
         lam = min(lam_done + dlam, 1.0)
@@ -617,8 +620,12 @@ def solve(model: Model, n_steps: int = 1, tol_rel: float = 1e-8,
         xf[model._presc_mask] = (mesh.node_coords.reshape(-1)[model._presc_mask]
                                  + lam * model._presc_value[model._presc_mask])
         q_trial = q.copy()
-        reason, it, rnorm = _newton(model, x_trial, q_trial, lam, free,
-                                    tol_rel, max_iter, verbose)
+        if state is not None and not (_same_bits(state.x, x_trial)
+                                      and _same_bits(state.q, q_trial)):
+            state = None
+        reason, it, rnorm, state = _newton(model, x_trial, q_trial, lam,
+                                           free, tol_rel, max_iter, verbose,
+                                           state)
         ok = reason is not None
         # one geometry evaluation per stacked multiplier block
         if ok and any(isinstance(method, Multiplier)
@@ -650,40 +657,29 @@ FLOOR_FACTOR = 100.0        # accepted round-off floor, in units of tol
 PROGRESS_ITERS = 8          # iterations a step may take above its first |r|
 
 
-class _Moments:
-    """The MIP moment fields of the penalty blocks over one Newton attempt.
-
-    ``m`` maps a block of the layout to the moment field its next tangent
-    is finished with; a block not in it gets the displacement tangent,
-    which is the MIP tangent at m = eps e(x).  A tangent assembly leaves
-    in ``predict`` each penalty block's predictor at its configuration,
-    and ``advance(du)`` moves ``m`` along the Newton update du from there.
-    """
-
-    def __init__(self):
-        self.m, self.predict = {}, {}
-
-    def advance(self, du_nodes):
-        self.m = {b: predict(du_nodes) for b, predict in self.predict.items()}
-
-
-def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
-    """Newton loop of one load step; returns (reason, iterations, |r|).
+def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose,
+            state=None):
+    """Newton loop of one load step from (x, q), updated in place, and
+    their unfinished ``_State`` if one is given; returns (reason,
+    iterations, |r|, the final (x, q)'s unfinished state or None).
 
     reason says how the step converged, with tol = tol_rel * ref:
 
-    - "tol": the assembled residual meets tol.
+    - "tol": the residual of an iterate meets tol.
     - "trial": the full step's trial residual, which is the residual of the
-      new iterate bit for bit, meets tol; no tangent is assembled there.
-    - "floor": stiff penalties put a round-off floor under the assembled
-      residual that can exceed tol.  |r| <= FLOOR_FACTOR * tol is accepted
-      at the first iteration that fails to halve the previous |r|
-      (Deuflhard's contraction test: Newton that no longer contracts there
-      is stopped by round-off), when a full step neither descends nor may
-      open an excursion, when an excursion fails, or when the update
-      stagnates at round-off.  Over the benchmark workloads and acceptance
-      criteria 6, 7 and 10 the largest accepted floor measured 8.4 tol
-      (criterion 7).
+      new iterate, meets tol.
+    - "floor": stiff penalties put a round-off floor under the residual
+      that can exceed tol.  |r| <= FLOOR_FACTOR * tol is accepted at the
+      first iteration that fails to halve the previous |r| (Deuflhard's
+      contraction test: Newton that no longer contracts there is stopped
+      by round-off), when a full step neither descends nor may open an
+      excursion, when an excursion fails, or when the update stagnates at
+      round-off.  Over the benchmark workloads and acceptance criteria 6,
+      7 and 10 the largest accepted floor measured 8.4 tol (criterion 7).
+
+    Each iterate's residual is tested before its tangent is formed
+    (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 2), so
+    every tangent is factored; a trial point's state is the next iterate's.
 
     reason is None when the step failed, and ``solve`` then cuts it.  Full
     steps are preferred: strongly nonlinear shell states send the residual
@@ -696,52 +692,51 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
     search: a step that cannot descend ends the attempt at once.
 
     The penalty tangents are MIP tangents (module docstring).  Their
-    moment fields are kept in one ``_Moments`` per call, so each attempt
-    starts at m = eps e(x) and its first tangent is the displacement
-    tangent.  After every update that the loop goes on from, excursion
-    steps included, m is predicted from the tangent pass that solved the
-    update; when the kept trial pass is finished as the next tangent, it
-    is finished with that m.  A failed excursion restores its entry point
-    and ends the attempt, so m is reset with the next one.
+    moment fields m start empty in every call, so each attempt's first
+    tangent is the displacement tangent.  After every update that the loop
+    goes on from, excursion steps included, m is predicted from the tangent
+    that solved the update.  A failed excursion restores its entry point
+    and ends the attempt.
     """
     nd = model.mesh.n_dofs
     stag = 1e-13 * model.mesh.bbox_diag()
-    ref = None
     best, prev, progressed = np.inf, np.inf, False
     saved = None            # (x, q, rnorm) entry point of the excursion
     excur = 0
-    moments = _Moments()
+    m = {}
+    if state is None:
+        try:
+            state = model.evaluate(x, q)
+        except ValueError:
+            # the start left the admissible configuration space (degenerate
+            # metric or edge tangent); let the caller cut the step
+            return None, 1, np.inf, None
+    r, f_ext = state.residual(lam)
+    rnorm = float(np.linalg.norm(r[free]))
+    fext_free = np.linalg.norm(
+        np.concatenate([f_ext, np.zeros(len(r) - nd)])[free])
+    ref = fext_free if fext_free > 1e-12 else max(rnorm, 1e-12)
+    tol = tol_rel * ref
+    floor = FLOOR_FACTOR * tol
+    first = rnorm
 
     for it in range(1, max_iter + 1):
-        try:
-            r, K, f_ext = model.assemble(x, q, lam, moments=moments)
-        except ValueError:
-            # iterate left the admissible configuration space (degenerate
-            # metric or edge tangent); let the caller cut the step
-            return None, it, np.inf
-        rf = r[free]
-        rnorm = float(np.linalg.norm(rf))
-        if ref is None:
-            fext_free = np.linalg.norm(
-                np.concatenate([f_ext, np.zeros(len(r) - nd)])[free])
-            ref = fext_free if fext_free > 1e-12 else max(rnorm, 1e-12)
-            tol = tol_rel * ref
-            floor = FLOOR_FACTOR * tol
-            first = rnorm
         if verbose:
             print(f"    it {it}: |r| = {rnorm:.3e} (ref {ref:.3e})")
         if rnorm <= tol:
-            return "tol", it, rnorm
+            return "tol", it, rnorm, state
         if rnorm <= floor and rnorm > 0.5 * prev:
-            return "floor", it, rnorm
+            return "floor", it, rnorm, state
         progressed = progressed or rnorm < first
         if it >= PROGRESS_ITERS and not progressed:
-            return None, it, rnorm
+            return None, it, rnorm, state
         prev = rnorm
         if saved is not None and rnorm < 0.9 * saved[2]:
             saved, excur = None, 0      # excursion paid off
         if rnorm <= 0.5 * best:
             best = rnorm
+        K, predictors = state.tangent(lam, m)
+        rf = r[free]
         upd = np.zeros(len(r))
         try:
             lu = _factorize(model, K, free)
@@ -751,14 +746,14 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
             # constraint-violating noise
             upd[free] += lu.solve(-rf - (K @ upd)[free])
         except RuntimeError:
-            return None, it, rnorm
+            return None, it, rnorm, None
         if not np.all(np.isfinite(upd)):
-            return None, it, rnorm
+            return None, it, rnorm, None
 
         try:
-            r_full = float(np.linalg.norm(model.assemble(
-                x + upd[:nd].reshape(-1, 3), q + upd[nd:], lam,
-                tangent=False)[0][free]))
+            state = model.evaluate(x + upd[:nd].reshape(-1, 3), q + upd[nd:])
+            r, _ = state.residual(lam)
+            r_full = float(np.linalg.norm(r[free]))
         except ValueError:
             r_full = np.inf
         if r_full > (1.0 - 1e-4) * rnorm:  # the full step does not descend
@@ -771,15 +766,16 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose):
                 if saved is not None:
                     # the excursion blew up or ran out: back to its entry
                     x[:], q[:], rnorm = saved
-                return ("floor" if rnorm <= floor else None), it, rnorm
-        x += upd[:nd].reshape(-1, 3)
-        q += upd[nd:]
+                return ("floor" if rnorm <= floor else None), it, rnorm, None
+        x[:], q[:] = state.x, state.q
         if r_full <= tol:
-            return "trial", it, r_full
+            return "trial", it, r_full, state
         # an update at round-off level cannot reduce the residual further
         if np.abs(upd[:nd]).max() <= stag and (nd == len(r)
                                                or np.abs(upd[nd:]).max()
                                                <= stag * 1e3):
-            return ("floor" if rnorm <= floor else None), it, rnorm
-        moments.advance(upd[:nd].reshape(-1, 3))
-    return None, max_iter, rnorm
+            return ("floor" if rnorm <= floor else None), it, rnorm, state
+        m = {b: predict(upd[:nd].reshape(-1, 3))
+             for b, predict in predictors.items()}
+        rnorm = r_full
+    return None, max_iter, rnorm, state

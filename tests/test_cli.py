@@ -146,6 +146,30 @@ def test_bench_params_not_an_object_exits_2(tmp_path, capsys, params):
     assert not (tmp_path / "plate_sinusoidal.csv").exists()
 
 
+@pytest.mark.parametrize("case, params, says", [
+    ("plate_sinusoidal", {"levels": 5}, "params: 'levels' = 5"),
+    ("plate_sinusoidal", {"level": [4]}, "params: unknown key(s) level"),
+    ("nonlinear_checkpoints", {"hole": {"steps": 4}},
+     "params.hole: unknown key(s) steps"),
+    ("nonlinear_checkpoints", {"pinch": {"w_max": "90"}},
+     "params.pinch: 'w_max'"),
+    ("pure_bending_folded", {"methods": [["penalty", "big"]]},
+     "params: 'methods'"),
+    ("pure_bending_folded", {"methods": [["lm", "n2q9"]]},
+     "params: 'methods'"),
+], ids=["wrong_kind", "unknown_key", "nested_unknown_key",
+        "nested_wrong_kind", "penalty_scale_not_a_number",
+        "unknown_interpolation"])
+def test_bench_params_unlike_the_defaults_exit_2(tmp_path, capsys, case,
+                                                 params, says):
+    """Params are checked against the case's defaults before it runs."""
+    cfg = _write(tmp_path, {"case": case, "params": params}, "bench.json")
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and says in err
+    assert not (tmp_path / f"{case}.csv").exists()
+
+
 def test_verify_tangents_passes(capsys):
     rc = main(["verify-tangents", "--model", "koiter", "--states", "3",
                "--deterministic"])

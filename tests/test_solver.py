@@ -150,18 +150,13 @@ def test_hopeless_step_is_cut_after_its_failed_excursion(monkeypatch):
     """The penalty strip's first step of 0.2 cannot converge; the attempt
     fails as soon as its excursion does, without creeping on."""
     model, _ = build_bending_folded(2, 2, ("penalty", 1e4))
-    counts = {"tangent": 0, "residual": 0}
-    assemble = Model.assemble
-
-    def counting_assemble(self, x, q, lam, tangent=True, **kwargs):
-        counts["tangent" if tangent else "residual"] += 1
-        return assemble(self, x, q, lam, tangent, **kwargs)
-
-    monkeypatch.setattr(Model, "assemble", counting_assemble)
+    tangents = counted_tangents(monkeypatch)
+    configs = recorded_configurations(monkeypatch)
     with pytest.raises(NonConvergenceError):
         solve(model, n_steps=5, max_cuts=0)
-    assert 0 < counts["tangent"] <= 8
-    assert counts["residual"] <= counts["tangent"]
+    assert 0 < len(tangents) <= 8
+    # the attempt's start, then one trial point per tangent at most
+    assert len(configs) - 1 <= len(tangents)
 
 
 def test_tolerance_below_round_off_is_not_met_by_stagnation():
@@ -197,15 +192,27 @@ def test_penalty_strip_takes_few_steps(monkeypatch):
     assert sum(iterations) <= 80
 
 
-def test_every_step_says_how_it_converged(penalty_strip_path):
+@pytest.fixture(scope="module")
+def fine_strip_path():
+    """Criterion 7's fine strip solved in 20 steps: (model, history, patch
+    passes, (x, q) bytes of every evaluation)."""
+    with pytest.MonkeyPatch.context() as mp:
+        passes = counted_passes(mp)
+        configs = recorded_configurations(mp)
+        model, _ = build_bending_folded(4, 2, ("penalty", 1e4))
+        hist = solve(model, n_steps=20)
+    return model, hist, passes, configs
+
+
+def test_every_step_says_how_it_converged(penalty_strip_path,
+                                          fine_strip_path):
     _, model = cantilever_model(load=2e-5)
     hist = solve(model, n_steps=2, tol_rel=1e-10)
     assert all(h.reason in ("tol", "trial") for h in hist)
     _, hist = penalty_strip_path
     assert {h.reason for h in hist} <= {"tol", "trial", "floor"}
     # criterion 7's fine strip still meets its round-off floor
-    model, _ = build_bending_folded(4, 2, ("penalty", 1e4))
-    hist = solve(model, n_steps=20)
+    model, hist, _, _ = fine_strip_path
     reasons = {h.reason for h in hist}
     assert reasons <= {"tol", "trial", "floor"} and "floor" in reasons
     free = ~model._presc_mask
@@ -640,22 +647,17 @@ def test_one_factor_path_for_penalty_and_saddle_systems(monkeypatch, method):
 
 
 def test_every_tangent_is_factorized(monkeypatch):
-    """A step that converges on its last full step's trial residual does
-    not assemble the tangent of the converged iterate."""
-    counts = {"tangents": 0}
-    assemble = Model.assemble
-
-    def counting_assemble(self, x, q, lam, tangent=True, **kwargs):
-        counts["tangents"] += tangent
-        return assemble(self, x, q, lam, tangent, **kwargs)
-
-    monkeypatch.setattr(Model, "assemble", counting_assemble)
+    """Newton forms a tangent only to factor it: a step that converges on
+    an iterate's residual or on its last full step's trial residual does
+    not form the tangent of the converged iterate."""
+    tangents = counted_tangents(monkeypatch)
     factorizations = recorded_factorizations(monkeypatch)
     _, model = cantilever_model(load=2e-5)
     hist = solve(model, n_steps=2, tol_rel=1e-10)
     assert len(hist) == 2
-    assert counts["tangents"] == len(factorizations) > 2
-    assert sum(h.iterations for h in hist) == counts["tangents"]
+    assert len(tangents) == len(factorizations) > 2
+    assert sum(h.iterations - (h.reason == "tol") for h in hist) == \
+        len(tangents)
 
 
 def follower_cantilever():
@@ -748,17 +750,16 @@ def test_singular_tangent_raises_and_newton_cuts_the_step(monkeypatch):
     with pytest.raises(RuntimeError):
         solver_mod._factorize(model, K, free)
 
-    assemble, calls = Model.assemble, []
+    tangent, calls = solver_mod._State.tangent, []
 
     def singular_first(self, *args, **kwargs):
-        r, K, f_ext = assemble(self, *args, **kwargs)
-        if K is not None:
-            calls.append(None)
-            if len(calls) == 1:
-                K.data[K.indices == col] = 0.0
-        return r, K, f_ext
+        K, predictors = tangent(self, *args, **kwargs)
+        calls.append(None)
+        if len(calls) == 1:
+            K.data[K.indices == col] = 0.0
+        return K, predictors
 
-    monkeypatch.setattr(Model, "assemble", singular_first)
+    monkeypatch.setattr(solver_mod._State, "tangent", singular_first)
     hist = solve(model, n_steps=1, max_cuts=1)
     assert [h.lam for h in hist] == [0.5, 1.0]
 
@@ -807,29 +808,70 @@ def counted_passes(monkeypatch):
     return calls
 
 
+def counted_tangents(monkeypatch):
+    """A list that grows by one entry per tangent formed from a state."""
+    calls = []
+    tangent = solver_mod._State.tangent
+
+    def counting_tangent(self, *args, **kwargs):
+        calls.append(None)
+        return tangent(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod._State, "tangent", counting_tangent)
+    return calls
+
+
+def recorded_configurations(monkeypatch):
+    """A list of the (x, q) bytes of every ``Model.evaluate`` call."""
+    calls = []
+    evaluate = Model.evaluate
+
+    def recording_evaluate(self, x, q):
+        calls.append(np.asarray(x).tobytes() + np.asarray(q).tobytes())
+        return evaluate(self, x, q)
+
+    monkeypatch.setattr(Model, "evaluate", recording_evaluate)
+    return calls
+
+
 def n_patch_blocks(model):
     return sum(method is None for _, method in model._current_layout().blocks)
 
 
 def test_one_patch_pass_per_configuration(monkeypatch):
-    """Newton's tangent at an accepted trial point finishes the residual
-    pass made there, so a solve makes one patch-kernel pass per
-    configuration it visits, with the assemblies of one pass per call."""
+    """Newton's tangent at an accepted trial point finishes the state of
+    the trial, so a solve makes one patch-kernel pass per configuration it
+    visits."""
     passes = counted_passes(monkeypatch)
-    calls = []
-    assemble = Model.assemble
-
-    def recording_assemble(self, x, q, lam, tangent=True, **kwargs):
-        calls.append((x.tobytes() + q.tobytes(), tangent))
-        return assemble(self, x, q, lam, tangent, **kwargs)
-
-    monkeypatch.setattr(Model, "assemble", recording_assemble)
+    tangents = counted_tangents(monkeypatch)
+    configs = recorded_configurations(monkeypatch)
     model = build_hemisphere_hole(2, 4)
     solve(model, n_steps=8)
-    n_tangent = sum(tangent for _, tangent in calls)
-    assert (n_tangent, len(calls) - n_tangent) == (31, 31)
-    assert len(passes) == n_patch_blocks(model) * len(
-        {config for config, _ in calls})
+    assert (len(tangents), len(configs) - 1) == (31, 31)
+    assert len(passes) == n_patch_blocks(model) * len(set(configs))
+
+
+def test_floor_exit_hands_its_state_to_the_next_step(fine_strip_path):
+    """A step that exits on the floor at an iterate's residual hands that
+    unfinished state to the next step, so the fine strip, whose floor exits
+    all come at that test, makes one patch pass per configuration."""
+    model, hist, passes, configs = fine_strip_path
+    assert [h.reason for h in hist].count("floor") >= 3
+    assert len(passes) == n_patch_blocks(model) * len(set(configs))
+    assert len(configs) == len(set(configs))
+
+
+def test_zero_load_path_makes_one_pass_and_no_tangent(monkeypatch):
+    """The reference state of an unloaded model meets every step's
+    tolerance: its one state is handed from step to step, and no tangent
+    is formed."""
+    passes = counted_passes(monkeypatch)
+    tangents = counted_tangents(monkeypatch)
+    _, model = cantilever_model(load=0.0)
+    hist = solve(model, n_steps=4)
+    assert [h.reason for h in hist] == ["tol"] * 4
+    assert len(passes) == n_patch_blocks(model)
+    assert tangents == []
 
 
 def perturbed_state(model, seed=3):
@@ -857,45 +899,34 @@ def multiplier_strip_small():
 @pytest.mark.parametrize("build", [hemisphere_hole_small,
                                    multiplier_strip_small],
                          ids=["hemisphere", "multiplier_strip"])
-def test_finished_pass_is_a_fresh_tangent(monkeypatch, build):
-    """A tangent finished from a kept residual pass runs no kernel and
-    equals a fresh model's r and K bit for bit."""
-    passes = counted_passes(monkeypatch)
+def test_state_is_a_fresh_assembly(build):
+    """A state's r and K equal a fresh model's ``assemble`` bit for bit,
+    also when the caller changes its x and q afterwards, and its tangent
+    is formed once."""
     model = build()
     x, q = perturbed_state(model)
-    model.assemble(x, q, 0.7, tangent=False)
-    n = len(passes)
-    got = model.assemble(x, q, 0.7)
-    assert len(passes) == n
-    assert_same_assembly(got, build().assemble(x, q, 0.7))
+    want = build().assemble(x, q, 0.7)
+    state = model.evaluate(x, q)
+    x += 1.0
+    q += 1.0
+    r, f_ext = state.residual(0.7)
+    K, _ = state.tangent(0.7)
+    assert_same_assembly((r, K, f_ext), want)
+    with pytest.raises(RuntimeError):
+        state.tangent(0.7)
 
 
-def nudged(a):
-    """a with its first entry one ulp up, changed in place."""
-    a.flat[0] = np.nextafter(a.flat[0], np.inf)
-    return a
-
-
-@pytest.mark.parametrize("change", ["x", "q", "constraint"])
-def test_kept_pass_serves_only_its_configuration(monkeypatch, change):
-    """One ulp in the caller's x or q, changed in place after the pass, or a
-    constraint added after it, makes the tangent run every kernel again,
-    and it equals a fresh model's."""
-    passes = counted_passes(monkeypatch)
-    build = (hemisphere_hole_small if change == "x"
-             else multiplier_strip_small)
-    model, fresh = build(), build()
+def test_assemble_leaves_the_model_unchanged(monkeypatch):
+    """A residual-only ``assemble`` keeps nothing: a later tangent at the
+    same configuration runs every kernel again and equals the first."""
+    model = hemisphere_hole_small()
     x, q = perturbed_state(model)
+    want = model.assemble(x, q, 0.7)
+    before = dict(vars(model))
+    passes = counted_passes(monkeypatch)
     model.assemble(x, q, 0.7, tangent=False)
-    if change == "x":
-        nudged(x)
-    elif change == "q":
-        nudged(q)
-    else:
-        for m in (model, fresh):
-            m.add_constraint(RotationConstraint.fixed(m.mesh, 0, "v0"),
-                             Penalty(5.0))
-    n = len(passes)
     got = model.assemble(x, q, 0.7)
-    assert len(passes) == n + n_patch_blocks(model)
-    assert_same_assembly(got, fresh.assemble(x, q, 0.7))
+    assert len(passes) == 2 * n_patch_blocks(model)
+    assert vars(model).keys() == before.keys()
+    assert all(vars(model)[k] is v for k, v in before.items())
+    assert_same_assembly(got, want)
