@@ -97,7 +97,8 @@ def _like(default, value):
     """True when value is of default's kind, where a float takes an integer
     too, a list a non-empty list of entries each like one of its entries,
     and a tuple a list like it entry by entry, whose strings are tags that
-    must match."""
+    must match.  A number is unlike a positive default unless it is > 0:
+    mesh levels, penalty scales and step counts must be positive."""
     if isinstance(default, (list, tuple)):
         return isinstance(value, (list, tuple)) and (
             len(value) > 0 and all(any(_like(d, v) for d in default)
@@ -107,8 +108,11 @@ def _like(default, value):
                 v == d if isinstance(d, str) else _like(d, v)
                 for d, v in zip(default, value)))
     if isinstance(default, float) and not isinstance(value, bool):
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
+        kind = isinstance(value, (int, float))
+    else:
+        kind = type(value) is type(default)
+    positive = type(default) in (int, float) and default > 0
+    return kind and (not positive or value > 0)
 
 
 def run_hemisphere_linear(params=None):

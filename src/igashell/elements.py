@@ -371,24 +371,27 @@ def dead_area_load(pq: PatchQuadrature, t):
     return f_el.reshape(pq.nel, -1)
 
 
-def follower_pressure(pq: PatchQuadrature, p: float, x_nodes, tangent=True):
-    """Pressure acting along the current normal on the current area."""
+def follower_pressure(pq: PatchQuadrature, x_nodes):
+    """(f_el, finish) of a unit pressure along the current normal on the
+    current area, as ``force_pass`` returns them; both are linear in the
+    pressure, which the caller multiplies in."""
     state, normal, a_vec, a_up, _, _ = pq.current(x_nodes)
     w = pq.wq * state.jac                                  # current measure
-    f_el = p * _point_sum(pq.N, normal, w)
-    f_el = f_el.reshape(pq.nel, -1)
-    if not tangent:
-        return f_el, None
-    # delta(n ja) = ja sum_b dN_B,b (a^b_j n_i - a^b_i n_j) dx_Bj: the
-    # first term is one row pair per point, N[n] n_i against (dN a^b)[m, j];
-    # the second one pair per b, N[n] a^b_i against dN_b[m] n_j
-    Nw = (pq.N * w[..., None])[:, :, None, :]
-    nrow = normal[:, :, None, :]
-    ua = np.matmul(pq.dN, a_up).reshape(pq.nel, pq.ngp, 1, -1)
-    K_el = p * (_gauss_sum(_kron_rows(Nw, nrow), ua)
+    f_el = _point_sum(pq.N, normal, w).reshape(pq.nel, -1)
+
+    def finish():
+        # delta(n ja) = ja sum_b dN_B,b (a^b_j n_i - a^b_i n_j) dx_Bj: the
+        # first term is one row pair per point, N[n] n_i against
+        # (dN a^b)[m, j]; the second one pair per b, N[n] a^b_i against
+        # dN_b[m] n_j
+        Nw = (pq.N * w[..., None])[:, :, None, :]
+        nrow = normal[:, :, None, :]
+        ua = np.matmul(pq.dN, a_up).reshape(pq.nel, pq.ngp, 1, -1)
+        return (_gauss_sum(_kron_rows(Nw, nrow), ua)
                 - _gauss_sum(_kron_rows(Nw, a_up),
                              _kron_rows(pq.dN.swapaxes(-1, -2), nrow)))
-    return f_el, K_el
+
+    return f_el, finish
 
 
 def point_load(mesh: Mesh, patch_idx: int, u: float, v: float, F):
@@ -473,8 +476,10 @@ def dead_edge_traction(eq: EdgeQuadrature, t):
     return f_el.reshape(eq.nel, -1)
 
 
-def follower_edge_moment(eq: EdgeQuadrature, m: float, x_nodes, tangent=True):
-    """Moment per unit current length about the running edge tangent.
+def follower_edge_moment(eq: EdgeQuadrature, x_nodes):
+    """(f_el, finish) of a unit moment per unit current length about the
+    running edge tangent, as ``force_pass`` returns them; both are linear in
+    the moment m, which the caller multiplies in.
 
     The virtual work is  int m (tau x n) . delta n ds.  Writing the edge
     tangent through the covariant base vector of the running parameter makes
@@ -490,19 +495,19 @@ def follower_edge_moment(eq: EdgeQuadrature, m: float, x_nodes, tangent=True):
     P = np.matmul(a_con, eps_col)
     q = _surface_sum(eq.dN, P)                              # (nel, ngp, nloc)
     w = eq.wq * jac
-    f_el = -m * _point_sum(q, normal, w)
-    f_el = f_el.reshape(eq.nel, -1)
-    if not tangent:
-        return f_el, None
-    # K / (-m w) = q[n] n_i u[m, j] - (dN a^{ab} dN^T)[n, m] n_i Pa_j
-    #              - n_i u[n, j] q[m] - (its transpose)
-    u = np.matmul(eq.dN, a_up)                              # (nel, ngp, nloc, 3)
-    Pa = np.matmul(P[..., None, :], a_vec)[..., 0, :]
-    qw = (q * w[..., None])[:, :, None, :]
-    K3 = _normal_kron(normal, u * w[..., None, None], q)
-    K_el = (-m) * (_gauss_sum(_kron_rows(qw, normal[:, :, None, :]),
-                              u.reshape(eq.nel, eq.ngp, 1, -1))
-                   - _metric_kron(eq.dN, a_con * w[..., None, None],
-                                  normal, eq.dN, Pa)
-                   - K3 - K3.swapaxes(1, 2))
-    return f_el, K_el
+    f_el = -_point_sum(q, normal, w).reshape(eq.nel, -1)
+
+    def finish():
+        # K / (-m w) = q[n] n_i u[m, j] - (dN a^{ab} dN^T)[n, m] n_i Pa_j
+        #              - n_i u[n, j] q[m] - (its transpose)
+        u = np.matmul(eq.dN, a_up)                      # (nel, ngp, nloc, 3)
+        Pa = np.matmul(P[..., None, :], a_vec)[..., 0, :]
+        qw = (q * w[..., None])[:, :, None, :]
+        K3 = _normal_kron(normal, u * w[..., None, None], q)
+        return -(_gauss_sum(_kron_rows(qw, normal[:, :, None, :]),
+                            u.reshape(eq.nel, eq.ngp, 1, -1))
+                 - _metric_kron(eq.dN, a_con * w[..., None, None],
+                                normal, eq.dN, Pa)
+                 - K3 - K3.swapaxes(1, 2))
+
+    return f_el, finish

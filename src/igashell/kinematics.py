@@ -26,9 +26,6 @@ __all__ = [
     "raise2",
     "to_voigt",
     "from_voigt",
-    "tens4_to_voigt",
-    "outer4",
-    "sym4",
     "outer_voigt",
     "sym_voigt",
     "layer_coefficients",
@@ -92,28 +89,6 @@ def from_voigt(v: np.ndarray, shear_factor: float = 1.0) -> np.ndarray:
 
 
 _VOIGT_PAIRS = ((0, 0), (1, 1), (0, 1))
-
-
-def tens4_to_voigt(T: np.ndarray) -> np.ndarray:
-    """Raw Voigt 3x3 of a fourth-order tensor with minor symmetries."""
-    out = np.empty(T.shape[:-4] + (3, 3))
-    for I, (a, b) in enumerate(_VOIGT_PAIRS):
-        for J, (c, d) in enumerate(_VOIGT_PAIRS):
-            out[..., I, J] = T[..., a, b, c, d]
-    return out
-
-
-def outer4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^{ab} B^{cd}."""
-    return A[..., :, :, None, None] * B[..., None, None, :, :]
-
-
-def sym4(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """1/2 (A^{ac} B^{bd} + A^{ad} B^{bc})."""
-    return 0.5 * (A[..., :, None, :, None] * B[..., None, :, None, :]
-                  + A[..., :, None, None, :] * B[..., None, :, :, None])
-
-
 # first and second index of each Voigt pair, as rows (a, b) and columns
 # (c, d) of a Voigt matrix
 _VA, _VB = np.array(_VOIGT_PAIRS).T[:, :, None]
@@ -121,14 +96,14 @@ _VC, _VD = np.array(_VOIGT_PAIRS).T[:, None, :]
 
 
 def outer_voigt(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``tens4_to_voigt(outer4(A, B))`` bit for bit, formed on the 9 Voigt
-    pairs only."""
+    """A^{ab} B^{cd} as a raw Voigt 3x3 (rows (a, b), columns (c, d)),
+    formed on the 9 Voigt pairs only."""
     return A[..., _VA, _VB] * B[..., _VC, _VD]
 
 
 def sym_voigt(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``tens4_to_voigt(sym4(A, B))`` bit for bit, formed on the 9 Voigt
-    pairs only."""
+    """1/2 (A^{ac} B^{bd} + A^{ad} B^{bc}) as a raw Voigt 3x3, formed on
+    the 9 Voigt pairs only."""
     return 0.5 * (A[..., _VA, _VC] * B[..., _VB, _VD]
                   + A[..., _VA, _VD] * B[..., _VB, _VC])
 

@@ -10,9 +10,10 @@ together with the four tangent blocks
 
     c = 2 dtau/da,  d = dtau/db,  e = 2 dM0/da,  f = dM0/db,
 
-returned in raw Voigt (11, 22, 12) ordering.  The direct laws (Koiter,
-Canham, Mixed) form only those 3 x 3 entries; the thickness-integrated one
-builds the fourth-order tensors and converts them.  ``d`` and ``e`` satisfy
+returned in raw Voigt (11, 22, 12) ordering.  Every law forms only those
+3 x 3 entries, on the 9 Voigt pairs (``outer_voigt``, ``sym_voigt``); the
+thickness-integrated one contracts a symmetric index pair as a sum over
+the Voigt pairs weighted (1, 1, 2) (``_ddot_voigt``).  ``d`` and ``e`` satisfy
 d^{abgd} = e^{gdab} whenever the stress derives from a potential; the
 thickness-integrated model with exact area prefactors intentionally loses
 the major symmetries of c and f.
@@ -31,12 +32,10 @@ from .kinematics import (
     layer_coefficients,
     layer_metric,
     metric_state,
-    outer4,
     outer_voigt,
     raise2,
-    sym4,
     sym_voigt,
-    tens4_to_voigt,
+    to_voigt,
 )
 
 __all__ = [
@@ -67,11 +66,6 @@ class ShellMaterial:
     def stress(self, ref: MetricState, cur: MetricState):
         raise NotImplementedError
 
-    def moduli(self, ref: MetricState, cur: MetricState):
-        """(c4, d4, e4, f4) as fourth-order tensors, for a law that forms
-        them so; the direct laws override ``moduli_voigt`` instead."""
-        raise NotImplementedError
-
     def energy(self, ref: MetricState, cur: MetricState):
         raise NotImplementedError
 
@@ -86,9 +80,7 @@ class ShellMaterial:
 
     def moduli_voigt(self, ref, cur):
         """(C, D, E4, F), each (..., 3, 3) in raw Voigt order."""
-        c4, d4, e4, f4 = self.moduli(ref, cur)
-        return (tens4_to_voigt(c4), tens4_to_voigt(d4),
-                tens4_to_voigt(e4), tens4_to_voigt(f4))
+        raise NotImplementedError
 
 
 def _pack_stress(tau, M0):
@@ -241,17 +233,15 @@ def _gauss_legendre(n: int, half_width: float):
     return x * half_width, w * half_width
 
 
-_I4 = sym4(np.eye(2), np.eye(2))
+_I_VOIGT = sym_voigt(np.eye(2), np.eye(2))     # the symmetric identity
+_PAIR_WEIGHTS = np.array([1.0, 1.0, 2.0])      # Voigt pairs in a sum over e, h
 
 
-def _ddot4(A, B):
-    """sum_{eh} A[..., e, h] B[..., e, h, c, d] for A (..., 2, 2) or
-    (..., 2, 2, 2, 2) and B (..., 2, 2, 2, 2) of one leading shape: the pair
-    (e, h) is the inner dimension of one matmul per point."""
-    lead = B.shape[:-4]
-    rows = A.shape[len(lead):-2]
-    return np.matmul(A.reshape(lead + (-1, 4)), B.reshape(lead + (4, 4))
-                     ).reshape(lead + rows + (2, 2))
+def _ddot_voigt(A, B):
+    """sum_{eh} A[..., I, (e, h)] B[..., (e, h), J] of Voigt matrices (..., k,
+    3) and (..., 3, 3) whose (e, h) index pair is symmetric: the (1, 2)
+    pair stands for (2, 1) too, so it counts twice."""
+    return np.matmul(A * _PAIR_WEIGHTS, B)
 
 
 class ProjectedNeoHooke(ShellMaterial):
@@ -334,12 +324,9 @@ class ProjectedNeoHooke(ShellMaterial):
                 M0 += -w * xi * tau_l
         return tau, M0
 
-    def moduli(self, ref, cur):
-        shape = cur.a_cov.shape + (2, 2)
-        c4 = np.zeros(shape)
-        d4 = np.zeros(shape)
-        e4 = np.zeros(shape)
-        f4 = np.zeros(shape)
+    def moduli_voigt(self, ref, cur):
+        shape = cur.a_cov.shape[:-2] + (3, 3)
+        C, D, E4, F = (np.zeros(shape) for _ in range(4))
         a_con, b_con = cur.a_con, cur.b_con
         bt_con = cur.b_adj_con
         a_cov, b_cov = cur.a_cov, cur.b_cov
@@ -349,35 +336,39 @@ class ProjectedNeoHooke(ShellMaterial):
             f, fp = self._fJ(Js)
             tau_l = self.mu * G_con + f[..., None, None] * g_con
             g_a, g_b, _ = layer_coefficients(H, kap, xi)
+            gan, gbn = g_a[..., None, None], g_b[..., None, None]
+            kxi2 = (kap * xi ** 2)[..., None, None]
             # dg_eh/da_cd and dg_eh/db_cd including the coefficient variations
-            Da = (g_a[..., None, None, None, None] * _I4
-                  + (kap * xi ** 2)[..., None, None, None, None] * outer4(a_cov, a_con)
-                  - xi ** 2 * outer4(b_cov, b_con))
-            Db = (g_b[..., None, None, None, None] * _I4
-                  - xi ** 2 * outer4(a_cov, bt_con)
-                  + xi ** 2 * outer4(b_cov, a_con))
-            g4 = -sym4(g_con, g_con)
-            gDa, gDb = _ddot4(g_con, Da), _ddot4(g_con, Db)
-            g4Da, g4Db = _ddot4(g4, Da), _ddot4(g4, Db)
-            Jfp = (Js * fp)[..., None, None, None, None]
-            fn = f[..., None, None, None, None]
-            ct = Jfp * outer4(g_con, gDa) + 2.0 * fn * g4Da
-            dt = 0.5 * Jfp * outer4(g_con, gDb) + fn * g4Db
+            Da = (gan * _I_VOIGT + kxi2 * outer_voigt(a_cov, a_con)
+                  - xi ** 2 * outer_voigt(b_cov, b_con))
+            Db = (gbn * _I_VOIGT - xi ** 2 * outer_voigt(a_cov, bt_con)
+                  + xi ** 2 * outer_voigt(b_cov, a_con))
+            g_row = to_voigt(g_con)[..., None, :]               # (..., 1, 3)
+            g_col = g_row.swapaxes(-1, -2)
+            g4 = -sym_voigt(g_con, g_con)
+            # g^{ab} (g^{eh} dg_eh/d.), an outer product of Voigt vectors
+            gDa = g_col * _ddot_voigt(g_row, Da)
+            gDb = g_col * _ddot_voigt(g_row, Db)
+            Jfp = (Js * fp)[..., None, None]
+            fn = f[..., None, None]
+            ct = Jfp * gDa + 2.0 * fn * _ddot_voigt(g4, Da)
+            dt = 0.5 * Jfp * gDb + fn * _ddot_voigt(g4, Db)
             if self.reduction == "exact":
-                s0n = s0[..., None, None, None, None]
-                gan = g_a[..., None, None, None, None]
-                gbn = g_b[..., None, None, None, None]
-                kxi2 = (kap * xi ** 2)[..., None, None, None, None]
-                c4 += w * s0n * (2.0 * kxi2 * outer4(tau_l, a_con) + gan * ct)
-                d4 += w * s0n * (-xi ** 2 * outer4(tau_l, bt_con) + gan * dt)
-                e4 += w * s0n * (-xi ** 2 * outer4(tau_l, b_con) + 0.5 * gbn * ct)
-                f4 += w * s0n * (0.5 * xi ** 2 * outer4(tau_l, a_con) + 0.5 * gbn * dt)
+                s0n = s0[..., None, None]
+                C += w * s0n * (2.0 * kxi2 * outer_voigt(tau_l, a_con)
+                                + gan * ct)
+                D += w * s0n * (-xi ** 2 * outer_voigt(tau_l, bt_con)
+                                + gan * dt)
+                E4 += w * s0n * (-xi ** 2 * outer_voigt(tau_l, b_con)
+                                 + 0.5 * gbn * ct)
+                F += w * s0n * (0.5 * xi ** 2 * outer_voigt(tau_l, a_con)
+                                + 0.5 * gbn * dt)
             else:
-                c4 += w * ct
-                d4 += w * dt
-                e4 += -w * xi * ct
-                f4 += -w * xi * dt
-        return c4, d4, e4, f4
+                C += w * ct
+                D += w * dt
+                E4 += -w * xi * ct
+                F += -w * xi * dt
+        return C, D, E4, F
 
     def energy(self, ref, cur):
         # the simple reduction is work-conjugate to the unweighted thickness

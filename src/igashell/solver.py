@@ -6,8 +6,9 @@ displacement boundary conditions, and provides the residual
     r(x, q, lam) = f_int(x) + f_con(x, q) - f_ext(x, lam)
 
 with its consistent sparse tangent.  Dead loads scale linearly with the load
-factor lam; follower loads (pressure, edge moments) are evaluated in the
-current configuration with magnitude scaled by lam.  Multiplier constraints
+factor lam; follower loads (pressure, edge moments) are kernel blocks, run
+at unit magnitude in the current configuration and scaled by lam times
+their magnitude.  Multiplier constraints
 append their q unknowns after the displacement DOFs, making the Newton
 system an indefinite saddle point with a zero diagonal block.
 
@@ -101,15 +102,17 @@ class Model:
     tabulation shape (ngp, nloc) are stacked into one PatchQuadrature, and
     constraints of one kind -- method, one- or two-sided, ``xi_dir`` and
     (ngp, nloc) on each side -- into one RotationConstraint, so every
-    assembly makes one kernel call per block.  The blocks and the scatter
-    indices are built once per layout of the patches, constraints and
-    follower loads, and again whenever those lists change.
+    assembly makes one kernel call per block; so do follower loads of one
+    kind.  The blocks and the scatter indices are built once per layout of
+    the patches, constraints and follower loads, and again whenever those
+    lists change.
 
     Entry-order invariant: the residual and the stiffness entries are
     emitted in one fixed order -- patches in order, then each constraint in
     order with f_a, f_b, f_q and K_aa, K_aq, K_aq^T, K_bb, K_ab, K_ab^T,
     K_bq, K_bq^T, then the follower loads -- whatever the blocks are.  Each
-    residual entry is summed in that order.  K has a fixed CSR pattern,
+    residual entry is summed in that order, f_ext with the dead loads
+    first.  K has a fixed CSR pattern,
     built once per layout with the summation order of SciPy's COO to CSR
     conversion of the entries in that order (``_csr_pattern``); every
     assembly adds the entries into it in that order.  So r and K are bit
@@ -199,27 +202,9 @@ class Model:
 
     # -- assembly --------------------------------------------------------
 
-    def external_force(self, x, lam: float, tangent: bool = True):
-        """Assembled external load vector and follower tangent triplets."""
-        nd = self.mesh.n_dofs
-        f = np.zeros(nd)
-        trips = []
-        for dofs, vals in self.dead_forces:
-            np.add.at(f, dofs.ravel(), lam * vals.ravel())
-        for patch, p in self.pressures:
-            fe, Ke = follower_pressure(self.quads[patch], lam * p, x, tangent)
-            np.add.at(f, self.quads[patch].edof.ravel(), fe.ravel())
-            trips.append((self.quads[patch].edof, self.quads[patch].edof, Ke))
-        for eq, m in self.edge_moments:
-            fe, Ke = follower_edge_moment(eq, lam * m, x, tangent)
-            np.add.at(f, eq.edof.ravel(), fe.ravel())
-            trips.append((eq.edof, eq.edof, Ke))
-        return f, trips
-
     def _current_layout(self):
         key = (list(self.quads), list(self.constraints),
-               [patch for patch, _ in self.pressures],
-               [eq for eq, _ in self.edge_moments])
+               list(self.pressures), list(self.edge_moments))
         if key != self._layout[0]:
             self._layout = (key, _Layout(self))
         return self._layout[1]
@@ -247,16 +232,24 @@ class _State:
         self._lay = lay = model._current_layout()
         passes = [_block_pass(block, method, model.material, self.x, self.q)
                   for block, method in lay.blocks]
-        self.f_int = np.bincount(lay.f_rows, np.concatenate(
-            [passes[b][0][name][e0:e1].ravel()
-             for b, name, e0, e1 in lay.f_plan]), minlength=lay.n)
+        f = np.concatenate([passes[b][0][name][e0:e1].ravel()
+                            for b, name, e0, e1 in lay.f_plan])
+        n = len(lay.f_rows)
+        self.f_int = np.bincount(lay.f_rows, f[:n], minlength=lay.n)
+        self._f_load = f[n:]        # the follower loads', at unit magnitudes
         self._finishers = [finish for _, finish in passes]
 
     def residual(self, lam):
-        """(r, f_ext): r = f_int + f_con - f_ext at load factor lam."""
-        f_ext, _ = self._model.external_force(self.x, lam, tangent=False)
+        """(r, f_ext): r = f_int + f_con - f_ext at load factor lam.  f_ext
+        adds the dead loads, then the follower loads, each scaled by lam
+        times its magnitude."""
+        model, lay = self._model, self._lay
+        f_ext = np.zeros(model.mesh.n_dofs)
+        for dofs, vals in model.dead_forces:
+            np.add.at(f_ext, dofs.ravel(), lam * vals.ravel())
+        np.add.at(f_ext, lay.e_rows, (lam * lay.e_mag) * self._f_load)
         r = self.f_int.copy()
-        r[:self._model.mesh.n_dofs] -= f_ext
+        r[:model.mesh.n_dofs] -= f_ext
         return r, f_ext
 
     def tangent(self, lam, m=None):
@@ -267,21 +260,22 @@ class _State:
         if self._finishers is None:
             raise RuntimeError("this state's tangent was already formed")
         finishers, self._finishers = self._finishers, None
+        lay = self._lay
         m = m or {}
-        out = [finish(m.get(b)) for b, finish in enumerate(finishers)]
+        # a follower load's stiffness is that of -f_ext
+        out = [finish(-(lam * lay.mag[b]) if b in lay.mag else m.get(b))
+               for b, finish in enumerate(finishers)]
         predictors = {b: o["predict"] for b, o in enumerate(out)
                       if "predict" in o}
-        lay = self._lay
         vals = [(out[b][name][e0:e1].transpose(0, 2, 1) if mirror
                  else out[b][name][e0:e1]).ravel()
                 for b, name, e0, e1, mirror in lay.k_plan]
-        _, ext_trips = self._model.external_force(self.x, lam)
-        vals += [-Ke.ravel() for _, _, Ke in ext_trips]
         return lay.fill(np.concatenate(vals)), predictors
 
 
 _F_NAMES = ("f_a", "f_b", "f_q")
 _K_NAMES = ("K_aa", "K_bb", "K_ab", "K_aq", "K_bq")
+_LOADS = ("pressure", "moment")     # the methods of follower load members
 
 
 def _same_bits(a, b):
@@ -299,11 +293,18 @@ def _block_pass(block, method, material, x, q):
     f_a and K_aa on DOF table "a", its elements' own DOFs; a constraint
     block returns the blocks of its ``penalty_pass`` or ``lm_pass``.  Only
     a penalty block reads the moment field m, and its stiffness also holds
-    its moment predictor under "predict"; the others take m None.
+    its moment predictor under "predict".  A follower load's m is the
+    factor (nel,) that scales its unit-magnitude tangents.  The others take
+    m None.
     """
     if method is None:
         f_el, finish = force_pass(block, material, x)
         return {"f_a": f_el}, lambda m: {"K_aa": finish()}
+    if method in _LOADS:
+        kernel = (follower_pressure if method == "pressure"
+                  else follower_edge_moment)
+        f_el, finish = kernel(block, x)
+        return {"f_a": f_el}, lambda m: {"K_aa": m[:, None, None] * finish()}
     if isinstance(method, Penalty):
         forces, finish = block.penalty_pass(x, method)
         return (dict(zip(_F_NAMES, forces)),
@@ -316,7 +317,7 @@ def _block_pass(block, method, material, x, q):
 def _terms(item, method):
     """One member's force terms (name, DOF table) and stiffness terms
     (name, row table, column table), in entry order, mirrors left out."""
-    if method is None:
+    if method is None or method in _LOADS:
         return [("f_a", "a")], [("K_aa", "a", "a")]
     lm, two = isinstance(method, Multiplier), item.two_sided
     return ([("f_a", "a")] + [("f_b", "b")] * two + [("f_q", "q")] * lm,
@@ -336,8 +337,10 @@ def _group(items, key):
 def _kind(member):
     """Block key: members with equal keys share one kernel call."""
     item, method = member
-    if method is None:
-        return (None,) + item.N.shape[1:]
+    if method is None or method == "pressure":
+        return (method,) + item.N.shape[1:]
+    if method == "moment":
+        return (method, item.xi_dir) + item.N.shape[1:]
     return (method, item.two_sided, item.eq_a.xi_dir, item.ngp,
             item.eq_a.nloc, item.eq_b.nloc if item.two_sided else 0)
 
@@ -381,14 +384,17 @@ def _csr_pattern(rows, cols, n):
 class _Layout:
     """The kernel blocks of a Model and the plan that scatters their output.
 
-    The members -- patches (method None), then constraints -- are grouped
-    by ``_kind`` into ``blocks`` of (stacked table or constraint, method).
-    A member owns elements [e0, e1) of every array its block returns.
-    ``f_plan`` lists (block, name, e0, e1) and ``k_plan`` (block, name, e0,
-    e1, mirrored) in the entry order of the Model docstring; ``f_rows`` are
-    the DOF indices of the force terms.  The stiffness entries, followed by
-    those of the follower loads, fill the CSR pattern ``indptr``/``indices``
-    through the summation matrix ``S`` (``_csr_pattern``).  Each set of free
+    The members -- patches (method None), constraints, then follower loads
+    ("pressure", "moment") -- are grouped by ``_kind`` into ``blocks`` of
+    (stacked table or constraint, method).  A member owns elements [e0, e1)
+    of every array its block returns.  ``f_plan`` lists (block, name, e0,
+    e1) and ``k_plan`` (block, name, e0, e1, mirrored) in the entry order of
+    the Model docstring; ``f_rows`` and ``e_rows`` are the DOF indices of
+    the force terms, the follower loads' in ``e_rows`` with their
+    magnitudes ``e_mag``.  ``mag`` maps a follower block to its elements'
+    magnitudes.  The stiffness entries fill the CSR pattern
+    ``indptr``/``indices`` through the summation matrix ``S``
+    (``_csr_pattern``).  Each set of free
     DOFs gets, once, the band plan that scatters K's free block from K.data
     and factors it (``_free_maps``).
     """
@@ -400,13 +406,22 @@ class _Layout:
         quads = model.quads
         members = [(pq, None) for pq in quads] + list(model.constraints)
         q_offsets = [0] * len(quads) + [max(off, 0) for off in offsets]
-        self.blocks, dofs, where = [], [], {}
+        loads = ([(quads[patch], "pressure", p)
+                  for patch, p in model.pressures]
+                 + [(eq, "moment", m) for eq, m in model.edge_moments])
+        load_mags = [float(m) for *_, m in loads]
+        mags = [0.0] * len(members) + load_mags
+        members += [(item, method) for item, method, _ in loads]
+        self.blocks, dofs, where, self.mag = [], [], {}, {}
         for idx in _group(members, _kind):
             items = [members[i][0] for i in idx]
             method = members[idx[0]][1]
-            if method is None:
-                block = PatchQuadrature.stack(items)
+            if method is None or method in _LOADS:
+                block = type(items[0]).stack(items)
                 tables = {"a": block.edof}
+                if method is not None:
+                    self.mag[len(self.blocks)] = np.repeat(
+                        [mags[i] for i in idx], [item.nel for item in items])
             else:
                 block = RotationConstraint.stack(
                     items, [q_offsets[i] for i in idx])
@@ -433,10 +448,12 @@ class _Layout:
                     self.k_plan.append((b, name, e0, e1, mirror))
                     rdof, cdof = dofs[b][rt][e0:e1], dofs[b][ct][e0:e1]
                     pairs.append((cdof, rdof) if mirror else (rdof, cdof))
-        pairs += [(quads[patch].edof, quads[patch].edof)
-                  for patch, _ in model.pressures]
-        pairs += [(eq.edof, eq.edof) for eq, _ in model.edge_moments]
-        self.f_rows = np.concatenate(f_rows)
+        # each follower load has one force term, and they come last
+        self.e_mag = np.repeat(load_mags, [r.size for r in f_rows[
+            len(f_rows) - len(loads):]])
+        f_rows = np.concatenate(f_rows)
+        n_int = len(f_rows) - len(self.e_mag)
+        self.f_rows, self.e_rows = f_rows[:n_int], f_rows[n_int:]
         # entry (e, i, j) of a block couples rdof[e, i] with cdof[e, j]
         size = sum(rdof.size * cdof.shape[1] for rdof, cdof in pairs)
         idx_type = np.int32 if max(self.n, size) < 2**31 else np.int64

@@ -14,11 +14,17 @@ component once for tau-like quantities and twice for M0-like ones.
 kind of oracle: they redo the package's own arithmetic one point at a time
 with scalar operations, so a batched evaluation can be checked against them
 bit for bit.
+
+``outer4``, ``sym4``, ``tens4_to_voigt`` and ``ddot4`` form fourth-order
+surface tensors (..., 2, 2, 2, 2) in full, and ``projected_moduli4`` is
+the thickness-integrated law's moduli built from them, the reference for
+the package's moduli formed on the 9 Voigt pairs.
 """
 
 import numpy as np
 
-from igashell.kinematics import metric_state, surface_vectors_state
+from igashell.kinematics import (layer_coefficients, metric_state,
+                                 surface_vectors_state)
 from igashell.nurbs import bernstein
 
 
@@ -218,3 +224,83 @@ def fd_jacobian(fun, x, h=1e-6):
         e.flat[i] = h
         J[:, i] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))).ravel() / (2.0 * h)
     return J
+
+
+# ---------------------------------------------------------------------------
+# fourth-order surface tensors
+
+_VOIGT_PAIRS = ((0, 0), (1, 1), (0, 1))
+
+
+def tens4_to_voigt(T):
+    """Raw Voigt 3x3 of a fourth-order tensor with minor symmetries."""
+    out = np.empty(T.shape[:-4] + (3, 3))
+    for I, (a, b) in enumerate(_VOIGT_PAIRS):
+        for J, (c, d) in enumerate(_VOIGT_PAIRS):
+            out[..., I, J] = T[..., a, b, c, d]
+    return out
+
+
+def outer4(A, B):
+    """A^{ab} B^{cd}."""
+    return A[..., :, :, None, None] * B[..., None, None, :, :]
+
+
+def sym4(A, B):
+    """1/2 (A^{ac} B^{bd} + A^{ad} B^{bc})."""
+    return 0.5 * (A[..., :, None, :, None] * B[..., None, :, None, :]
+                  + A[..., :, None, None, :] * B[..., None, :, :, None])
+
+
+def ddot4(A, B):
+    """sum_{eh} A[..., e, h] B[..., e, h, c, d] for A (..., 2, 2) or
+    (..., 2, 2, 2, 2) and B (..., 2, 2, 2, 2) of one leading shape."""
+    lead = B.shape[:-4]
+    rows = A.shape[len(lead):-2]
+    return np.matmul(A.reshape(lead + (-1, 4)), B.reshape(lead + (4, 4))
+                     ).reshape(lead + rows + (2, 2))
+
+
+def projected_moduli4(mat, ref, cur):
+    """(c4, d4, e4, f4) of a ``ProjectedNeoHooke`` as fourth-order tensors:
+    per thickness point, the derivatives of the layer metric with respect
+    to a and b, contracted with the layer stress and its tangent."""
+    shape = cur.a_cov.shape + (2, 2)
+    c4, d4, e4, f4 = (np.zeros(shape) for _ in range(4))
+    a_con, b_con, bt_con = cur.a_con, cur.b_con, cur.b_adj_con
+    a_cov, b_cov = cur.a_cov, cur.b_cov
+    H, kap = cur.H, cur.kappa
+    I4 = sym4(np.eye(2), np.eye(2))
+
+    def n4(v):
+        return v[..., None, None, None, None]
+
+    for xi, w in zip(mat.xi, mat.wts):
+        _, G_con, s0, g_cov, g_con, _, Js = mat._layer(ref, cur, xi)
+        f, fp = mat._fJ(Js)
+        tau_l = mat.mu * G_con + f[..., None, None] * g_con
+        g_a, g_b, _ = layer_coefficients(H, kap, xi)
+        # dg_eh/da_cd and dg_eh/db_cd including the coefficient variations
+        Da = (n4(g_a) * I4 + n4(kap * xi ** 2) * outer4(a_cov, a_con)
+              - xi ** 2 * outer4(b_cov, b_con))
+        Db = (n4(g_b) * I4 - xi ** 2 * outer4(a_cov, bt_con)
+              + xi ** 2 * outer4(b_cov, a_con))
+        g4 = -sym4(g_con, g_con)
+        Jfp, fn = n4(Js * fp), n4(f)
+        ct = Jfp * outer4(g_con, ddot4(g_con, Da)) + 2.0 * fn * ddot4(g4, Da)
+        dt = (0.5 * Jfp * outer4(g_con, ddot4(g_con, Db))
+              + fn * ddot4(g4, Db))
+        if mat.reduction == "exact":
+            s0n, gan, gbn = n4(s0), n4(g_a), n4(g_b)
+            kxi2 = n4(kap * xi ** 2)
+            c4 += w * s0n * (2.0 * kxi2 * outer4(tau_l, a_con) + gan * ct)
+            d4 += w * s0n * (-xi ** 2 * outer4(tau_l, bt_con) + gan * dt)
+            e4 += w * s0n * (-xi ** 2 * outer4(tau_l, b_con) + 0.5 * gbn * ct)
+            f4 += w * s0n * (0.5 * xi ** 2 * outer4(tau_l, a_con)
+                             + 0.5 * gbn * dt)
+        else:
+            c4 += w * ct
+            d4 += w * dt
+            e4 += -w * xi * ct
+            f4 += -w * xi * dt
+    return c4, d4, e4, f4

@@ -157,9 +157,12 @@ def test_bench_params_not_an_object_exits_2(tmp_path, capsys, params):
      "params: 'methods'"),
     ("pure_bending_folded", {"methods": [["lm", "n2q9"]]},
      "params: 'methods'"),
+    ("pure_bending_folded", {"levels": [1], "methods": [["penalty", -1]]},
+     "params: 'methods'"),
+    ("plate_sinusoidal", {"levels": [0]}, "params: 'levels' = [0]"),
 ], ids=["wrong_kind", "unknown_key", "nested_unknown_key",
         "nested_wrong_kind", "penalty_scale_not_a_number",
-        "unknown_interpolation"])
+        "unknown_interpolation", "negative_penalty_scale", "zero_level"])
 def test_bench_params_unlike_the_defaults_exit_2(tmp_path, capsys, case,
                                                  params, says):
     """Params are checked against the case's defaults before it runs."""

@@ -27,11 +27,12 @@ from igashell.elements import (
 )
 from igashell.geometry import (Mesh, make_cylinder_panel, make_folded_strip,
                                make_plate, make_sphere_panel)
-from igashell.kinematics import (ddot22, dot3, from_voigt, outer4, raise2,
-                                 surface_vectors_state, sym4)
+from igashell.kinematics import (ddot22, dot3, from_voigt, raise2,
+                                 surface_vectors_state, to_voigt)
 from igashell.materials import (CanhamMaterial, KoiterMaterial,
-                                ProjectedNeoHooke, _ddot4)
-from oracles import fd_gradient, fd_jacobian
+                                ProjectedNeoHooke, _ddot_voigt)
+from oracles import (ddot4, fd_gradient, fd_jacobian, outer4, sym4,
+                     tens4_to_voigt)
 
 
 def cap_mesh():
@@ -219,6 +220,9 @@ def test_point_contractions_match_einsum(which):
     g4 = rng.standard_normal(A.shape + (2, 2))
     Da = rng.standard_normal(A.shape + (2, 2))
     w = q.wq * state.jac
+    # symmetric in the contracted pair (e, h), as the Voigt sums require
+    Ds = 0.5 * (Da + Da.swapaxes(-4, -3))
+    gs = 0.5 * (g4 + g4.swapaxes(-2, -1))
     pairs = [
         ("a_vec", a_vec, np.einsum("egna,eni->egai", q.dN, xe)),
         ("h_vec", h_vec, np.einsum("egnr,eni->egri", q.d2N, xe)),
@@ -235,10 +239,16 @@ def test_point_contractions_match_einsum(which):
         ("outer4", outer4(A, b), np.einsum("...ab,...cd->...abcd", A, b)),
         ("sym4", sym4(A, b), 0.5 * (np.einsum("...ac,...bd->...abcd", A, b)
                                     + np.einsum("...ad,...bc->...abcd", A, b))),
-        ("ddot4 (2, 2)", _ddot4(A, Da),
+        ("ddot4 (2, 2)", ddot4(A, Da),
          np.einsum("...eh,...ehcd->...cd", A, Da)),
-        ("ddot4 (2, 2, 2, 2)", _ddot4(g4, Da),
+        ("ddot4 (2, 2, 2, 2)", ddot4(g4, Da),
          np.einsum("...abeh,...ehcd->...abcd", g4, Da)),
+        ("voigt ddot (2, 2)",
+         _ddot_voigt(to_voigt(A)[..., None, :], tens4_to_voigt(Ds)),
+         to_voigt(np.einsum("...eh,...ehcd->...cd", A, Ds))[..., None, :]),
+        ("voigt ddot (2, 2, 2, 2)",
+         _ddot_voigt(tens4_to_voigt(gs), tens4_to_voigt(Ds)),
+         tens4_to_voigt(np.einsum("...abeh,...ehcd->...abcd", gs, Ds))),
         ("surface sum", _surface_sum(q.dN, A[..., 0]),
          np.einsum("egna,ega->egn", q.dN, A[..., 0])),
         ("point sum", _point_sum(q.N, normal, w),
@@ -267,17 +277,17 @@ def test_point_contractions_match_einsum(which):
             ("Nt", Nt, pq.d2N - np.einsum("egcr,egnc->egnr", gamma, pq.dN)),
             ("f_int", internal_forces(pq, KOITER, x, tangent=False)[0],
              np.einsum("egkd,egk->ed", B, sv * half * wA[..., None])),
-            ("f_pressure", follower_pressure(pq, 0.7, x, tangent=False)[0],
-             0.7 * np.einsum("egn,egi->eni", pq.N, normal * w[..., None]
-                             ).reshape(pq.nel, -1)),
+            ("f_pressure", follower_pressure(pq, x)[0],
+             np.einsum("egn,egi->eni", pq.N, normal * w[..., None]
+                       ).reshape(pq.nel, -1)),
         ]
     else:
         P = np.einsum("egcd,d->egc", A, _EPS2[:, eq.xi_dir])
         qn = np.einsum("egnc,egc->egn", eq.dN, P)
         pairs.append(("f_moment",
-                      follower_edge_moment(eq, 0.3, x, tangent=False)[0],
-                      -0.3 * np.einsum("egn,egi->eni", qn * w[..., None],
-                                       normal).reshape(eq.nel, -1)))
+                      follower_edge_moment(eq, x)[0],
+                      -np.einsum("egn,egi->eni", qn * w[..., None],
+                                 normal).reshape(eq.nel, -1)))
     assert_contractions(pairs)
 
 
@@ -354,12 +364,13 @@ def test_follower_pressure_resultant_and_tangent():
                          mesh.node_coords)
     x0 = perturbed(mesh, 0.01, seed=8)
     p = 2.5
-    fe, Ke = follower_pressure(pq, p, x0)
+    _, finish = follower_pressure(pq, x0)
+    Ke = p * finish()
 
     def fvec(xf):
         f = np.zeros(mesh.n_dofs)
-        fl, _ = follower_pressure(pq, p, xf.reshape(-1, 3), tangent=False)
-        np.add.at(f, pq.edof, fl)
+        fl, _ = follower_pressure(pq, xf.reshape(-1, 3))
+        np.add.at(f, pq.edof, p * fl)
         return f
 
     K = np.zeros((mesh.n_dofs, mesh.n_dofs))
@@ -376,7 +387,7 @@ def test_follower_pressure_closed_direction():
     mesh = Mesh([make_plate(1.0, 1.0, 2, 2, 2)])
     pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
                          mesh.node_coords)
-    fe, _ = follower_pressure(pq, 1.0, mesh.node_coords, tangent=False)
+    fe, _ = follower_pressure(pq, mesh.node_coords)
     total = np.zeros(mesh.n_dofs)
     np.add.at(total, pq.edof, fe)
     res = total.reshape(-1, 3).sum(axis=0)
@@ -400,12 +411,13 @@ def test_follower_moment_tangent():
                         mesh.node_coords, "u1")
     x0 = perturbed(mesh, 0.05, seed=11)
     m = 0.7
-    fe, Ke = follower_edge_moment(eq, m, x0)
+    _, finish = follower_edge_moment(eq, x0)
+    Ke = m * finish()
 
     def fvec(xf):
         f = np.zeros(mesh.n_dofs)
-        fl, _ = follower_edge_moment(eq, m, xf.reshape(-1, 3), tangent=False)
-        np.add.at(f, eq.edof, fl)
+        fl, _ = follower_edge_moment(eq, xf.reshape(-1, 3))
+        np.add.at(f, eq.edof, m * fl)
         return f
 
     K = np.zeros((mesh.n_dofs, mesh.n_dofs))
@@ -425,9 +437,9 @@ def test_follower_moment_is_torque_about_edge():
     eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
                         mesh.node_coords, "u1")
     m = 1.3
-    fe, _ = follower_edge_moment(eq, m, mesh.node_coords, tangent=False)
+    fe, _ = follower_edge_moment(eq, mesh.node_coords)
     f = np.zeros(mesh.n_dofs)
-    np.add.at(f, eq.edof, fe)
+    np.add.at(f, eq.edof, m * fe)
     F = f.reshape(-1, 3)
     assert np.allclose(F[:, :2], 0.0, atol=1e-12), "in-plane edge force"
     assert np.isclose(F.sum(), 0.0, atol=1e-12), "net force must vanish"

@@ -10,12 +10,10 @@ from igashell.kinematics import (
     layer_coefficients,
     layer_metric,
     metric_state,
-    outer4,
     surface_vectors_state,
-    sym4,
-    tens4_to_voigt,
     to_voigt,
 )
+from oracles import outer4, sym4, tens4_to_voigt
 
 
 def state_at(patch, u, v):

@@ -10,8 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from igashell.kinematics import (MetricState, metric_state, outer4, sym4,
-                                 tens4_to_voigt)
+from igashell.kinematics import MetricState, metric_state
 from igashell.materials import (
     CanhamMaterial,
     KoiterMaterial,
@@ -20,7 +19,8 @@ from igashell.materials import (
     lame_3d,
     surface_lame,
 )
-from oracles import fd_moduli, fd_stress, random_state_pair
+from oracles import (fd_moduli, fd_stress, outer4, projected_moduli4,
+                     random_state_pair, sym4, tens4_to_voigt)
 
 
 def all_materials():
@@ -134,21 +134,46 @@ def fourth_order_moduli(mat, ref, cur):
     return c4, d4, e4, f4
 
 
+def pairs_and_batch(seed, n=6):
+    """n random (ref, cur) state pairs, and one pair of their batches."""
+    rng = np.random.default_rng(seed)
+    pairs = [random_state_pair(rng) for _ in range(n)]
+    batch = [MetricState(*(np.stack([getattr(st, f.name) for st in states])
+                           for f in fields(MetricState)))
+             for states in zip(*pairs)]
+    return pairs + [tuple(batch)]
+
+
 @pytest.mark.parametrize("name,mat", DIRECT, ids=[n for n, _ in DIRECT])
 def test_voigt_moduli_equal_the_fourth_order_forms(name, mat):
     """The direct laws form their Voigt moduli on the 9 Voigt pairs with the
     per-entry arithmetic of the fourth-order forms, so they agree bit for
     bit, on one point and on a batch."""
-    rng = np.random.default_rng(19)
-    pairs = [random_state_pair(rng) for _ in range(6)]
-    batch = [MetricState(*(np.stack([getattr(st, f.name) for st in states])
-                           for f in fields(MetricState)))
-             for states in zip(*pairs)]
-    for ref, cur in pairs + [tuple(batch)]:
+    for ref, cur in pairs_and_batch(19):
         got = mat.moduli_voigt(ref, cur)
         want = fourth_order_moduli(mat, ref, cur)
         for g, w in zip(got, want):
             assert np.array_equal(g, tens4_to_voigt(w)), name
+
+
+PROJECTED = [m for m in MATERIALS if "projected" in m[0]]
+
+
+@pytest.mark.parametrize("name,mat", PROJECTED,
+                         ids=[n for n, _ in PROJECTED])
+def test_projected_voigt_moduli_match_the_fourth_order_form(name, mat):
+    """The thickness-integrated law forms its moduli on the 9 Voigt pairs
+    too.  Its sums over a symmetric index pair run over 3 weighted pairs
+    instead of 4 entries, so it agrees with the fourth-order form to
+    round-off, 1e-13 of each block's largest entry, on one point and on a
+    batch."""
+    for ref, cur in pairs_and_batch(23):
+        got = mat.moduli_voigt(ref, cur)
+        want = projected_moduli4(mat, ref, cur)
+        for g, w in zip(got, want):
+            w = tens4_to_voigt(w)
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), name
 
 
 def test_plane_stress_condition_projected():

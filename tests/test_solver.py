@@ -13,6 +13,7 @@ from igashell.benchmarks import (FOLD, build_bending_folded,
                                  build_hemisphere_hole)
 from igashell.constraints import Multiplier, Penalty, RotationConstraint
 from igashell.elements import (PatchQuadrature, _add_geometric, _b_operators,
+                               follower_edge_moment, follower_pressure,
                                internal_forces)
 from igashell.geometry import Mesh, make_folded_strip, make_plate
 from igashell.kinematics import MetricState
@@ -417,11 +418,23 @@ def reference_assemble(model, x, q, lam, tangent):
                 trips.append((rdof, cdof, Ke))
                 if rdof is not cdof:
                     trips.append((cdof, rdof, Ke.transpose(0, 2, 1)))
-    f_ext, ext = model.external_force(x, lam)
+    # the dead loads, then one follower kernel call per load, scaled by
+    # lam times its magnitude
+    f_ext = np.zeros(nd)
+    for dofs, vals in model.dead_forces:
+        np.add.at(f_ext, dofs.ravel(), lam * vals.ravel())
+    loads = ([(follower_pressure, model.quads[patch], p)
+              for patch, p in model.pressures]
+             + [(follower_edge_moment, eq, m) for eq, m in model.edge_moments])
+    for kernel, table, magnitude in loads:
+        fe, finish = kernel(table, x)
+        np.add.at(f_ext, table.edof.ravel(), ((lam * magnitude) * fe).ravel())
+        if tangent:
+            trips.append((table.edof, table.edof,
+                          -((lam * magnitude) * finish())))
     r[:nd] -= f_ext
     if not tangent:
         return r, None
-    trips += [(rdof, cdof, -Ke) for rdof, cdof, Ke in ext]
     rows = np.concatenate([np.repeat(rdof, Ke.shape[2], axis=1).ravel()
                            for rdof, _, Ke in trips])
     cols = np.concatenate([np.tile(cdof, (1, Ke.shape[1])).ravel()
@@ -447,19 +460,22 @@ def assert_assembly_is_reference(model, seed=5, lam=0.7):
 
 
 def n_blocks(model):
+    """(patch blocks, constraint blocks, follower load blocks)."""
     model.assemble(model.mesh.node_coords,
                    np.zeros(model.multiplier_layout()[0]), 1.0, False)
     blocks = model._current_layout().blocks
     return (sum(method is None for _, method in blocks),
-            sum(method is not None for _, method in blocks))
+            sum(isinstance(method, (Penalty, Multiplier))
+                for _, method in blocks),
+            sum(isinstance(method, str) for _, method in blocks))
 
 
 @pytest.mark.parametrize("method", [("penalty", 1e4), ("lm", "n2q0"),
                                     ("lm", "n2q1c")])
 def test_stacked_assembly_folded_strip(method):
     model, _ = build_bending_folded(2, 2, method)
-    # eight patches, the seven interfaces and the clamp
-    assert n_blocks(model) == (1, 2)
+    # eight patches, the seven interfaces and the clamp, the end moment
+    assert n_blocks(model) == (1, 2, 1)
     assert_assembly_is_reference(model)
 
 
@@ -470,13 +486,35 @@ def test_stacked_assembly_reversed_interface(method):
     for _ in range(2):
         model.add_constraint(RotationConstraint.from_interface(
             mesh, mesh.interfaces[0]), method)
-    assert n_blocks(model) == (1, 1)
+    assert n_blocks(model) == (1, 1, 0)
     assert_assembly_is_reference(model)
 
 
 def test_stacked_assembly_hemisphere():
     model = build_hemisphere_hole(2, 4)
-    assert n_blocks(model) == (1, 1), "the two symmetry edges form one block"
+    assert n_blocks(model) == (1, 1, 0), \
+        "the two symmetry edges form one block"
+    assert_assembly_is_reference(model)
+
+
+def pressed_strip():
+    """The multiplier strip with pressures of two magnitudes on two of its
+    patches, which share one shape and so one follower block."""
+    model, _ = build_bending_folded(2, 2, ("lm", "n2q0"))
+    model.add_pressure(2, 0.3)
+    model.add_pressure(5, -0.7)
+    return model
+
+
+@pytest.mark.parametrize("build, blocks", [
+    (lambda: follower_cantilever(), (1, 1, 1)),     # defined below
+    (pressed_strip, (1, 2, 2)),
+], ids=["follower_cantilever", "stacked_pressures"])
+def test_stacked_assembly_follower_pressures(build, blocks):
+    """A follower block scales each load's slice by lam times its own
+    magnitude, bit for bit as one kernel call per load."""
+    model = build()
+    assert n_blocks(model) == blocks
     assert_assembly_is_reference(model)
 
 
@@ -510,8 +548,7 @@ def two_shape_model():
 
 def test_stacked_assembly_many_blocks():
     model = two_shape_model()
-    patch_blocks, con_blocks = n_blocks(model)
-    assert (patch_blocks, con_blocks) == (2, 5)
+    assert n_blocks(model) == (2, 5, 2)
     assert_assembly_is_reference(model)
 
 
@@ -849,6 +886,24 @@ def test_one_patch_pass_per_configuration(monkeypatch):
     solve(model, n_steps=8)
     assert (len(tangents), len(configs) - 1) == (31, 31)
     assert len(passes) == n_patch_blocks(model) * len(set(configs))
+
+
+def test_one_follower_pass_per_configuration(monkeypatch):
+    """A follower load runs its kernel once per configuration, in the
+    state's pass: the multiplier strip's end moment is one block, so its
+    kernel runs as often as Newton visits a new configuration."""
+    calls = []
+    moment = solver_mod.follower_edge_moment
+
+    def counting_moment(*args):
+        calls.append(None)
+        return moment(*args)
+
+    monkeypatch.setattr(solver_mod, "follower_edge_moment", counting_moment)
+    configs = recorded_configurations(monkeypatch)
+    model, _ = build_bending_folded(2, 2, ("lm", "n2q0"))
+    solve(model, n_steps=10)
+    assert len(calls) == len(set(configs)) > 10
 
 
 def test_floor_exit_hands_its_state_to_the_next_step(fine_strip_path):
