@@ -14,30 +14,29 @@ system an indefinite saddle point with a zero diagonal block.
 
 Every free tangent, penalty or saddle point, linear or Newton, is factored
 by one band LU with partial pivoting (LAPACK ``dgbtrf``/``dgbtrs``;
-``_factorize``).  The unknowns are displacements only, on tensor-product
-patches that number their nodes row by row, and multi-patch models chain
-their patches, so the free block is a narrow band.  It is factored in the
-natural DOF order or in reverse Cuthill-McKee order (Cuthill and McKee,
-ACM 1969), whichever gives the narrower band; the order and the scatter
-of K's free entries into band storage are planned once per layout and set
-of free DOFs (``_band_plan``).  The free block is never formed as a matrix
-of its own: the band is filled from the entries of the assembled CSR K,
-and a product K_ff dz is taken as (K @ upd)[free] with upd zero off the
-free DOFs.  That adds each row's terms in the same ascending-column order
-as a mat-vec of the free block; a prescribed column adds a * 0.0, which
-can change only the sign of an exact zero.
+``_factorize``).  Tensor-product patches number their nodes row by row,
+and multi-patch models chain their patches, so the displacements form a
+narrow band in their natural order.  Each multiplier, which couples only
+with the displacements along its edge, is factored right after the
+largest free one it couples with (``_band_plan``, planned once per layout
+and set of free DOFs).  The free block is never formed as a matrix of its
+own: the band is filled from the entries of the assembled CSR K, and a
+product K_ff dz is taken as (K @ upd)[free] with upd zero off the free
+DOFs.  That adds each row's terms in the same ascending-column order as a
+mat-vec of the free block; a prescribed column adds a * 0.0, which can
+change only the sign of an exact zero.
 
 One factorization with its scatter, against SuperLU (A^T + A minimum
 degree in symmetric mode, or its defaults for saddle points), at a
-deformed state, best of 20 runs (3 on the 32 x 32 cylinder) on a 2-core
-Xeon with one BLAS thread:
+deformed state, the least of five best-of-20 runs (best of 3 on the
+32 x 32 cylinder) on a 2-core Xeon with one BLAS thread:
 
-    free system                      DOFs   order, kl       SuperLU    band
-    8 x 8 hemisphere with a hole      279   natural, 64     1.26       0.32 ms
-    folded strip, multipliers         305   RCM, 59         0.94       0.34 ms
-    16 x 16 pinch, multipliers        931   RCM, 198        10.0       5.3 ms
-    quartic cylinder 16 x 16         1102   natural, 242    26.4       7.9 ms
-    quartic cylinder 32 x 32         3710   natural, 434    212        91 ms
+    free system                      DOFs    kl     SuperLU    band
+    8 x 8 hemisphere with a hole      279     64    1.42       0.29 ms
+    folded strip, multipliers         305     63    1.27       0.39 ms
+    16 x 16 pinch, multipliers        931    128    10.7       2.2 ms
+    quartic cylinder 16 x 16         1102    242    26.4       6.0 ms
+    quartic cylinder 32 x 32         3710    434    189        57 ms
 
 Band LU work grows like n kl (kl + ku), faster with the mesh than a
 supernodal LU's fill, and the band array holds n (2 kl + ku + 1) values.
@@ -71,7 +70,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .constraints import Multiplier, Penalty, RotationConstraint
 from .elements import (EdgeQuadrature, PatchQuadrature, dead_area_load,
@@ -394,13 +392,13 @@ class _Layout:
     magnitudes ``e_mag``.  ``mag`` maps a follower block to its elements'
     magnitudes.  The stiffness entries fill the CSR pattern
     ``indptr``/``indices`` through the summation matrix ``S``
-    (``_csr_pattern``).  Each set of free
-    DOFs gets, once, the band plan that scatters K's free block from K.data
-    and factors it (``_free_maps``).
+    (``_csr_pattern``) of the ``nd`` displacement DOFs and then the
+    multipliers.  Each set of free DOFs gets, once, the band plan that
+    scatters K's free block from K.data and factors it (``_free_maps``).
     """
 
     def __init__(self, model):
-        nd = model.mesh.n_dofs
+        self.nd = nd = model.mesh.n_dofs
         nq, offsets = model.multiplier_layout()
         self.n = nd + nq
         quads = model.quads
@@ -482,41 +480,42 @@ class _Layout:
         built on its first use."""
         if self._free[0] is None or not np.array_equal(self._free[0], free):
             self._free = (free.copy(),
-                          _band_plan(self.indptr, self.indices, free))
+                          _band_plan(self.indptr, self.indices, free, self.nd))
         return self._free
 
 
-def _band_plan(indptr, indices, free):
+def _band_plan(indptr, indices, free, nd):
     """(take, perm, kl, ku, pos): how the free block K[free][:, free] of a
-    K with CSR pattern (indptr, indices) is factored in band storage.
+    K with CSR pattern (indptr, indices) and nd displacement DOFs is
+    factored in band storage.
 
     ``take`` lists the entries of K.data that couple two free DOFs, in CSR
     order.  Row and column k of the factored matrix are free DOF perm[k]:
-    the natural order or the reverse Cuthill-McKee order of the block's
-    pattern, whichever has the smaller kl + ku (module docstring).  The
-    pattern is symmetric, every off-diagonal block of K coming with its
-    mirror.  kl and ku are the band's sub- and super-diagonals, and entry
-    K.data[take[e]] lands at flat index pos[e] of the Fortran-ordered band
-    array, whose leading dimension is 2 kl + ku + 1 (LAPACK ``dgbtrf``
-    storage, with kl rows above the band for the pivots' fill).
+    the free displacements in natural order, each multiplier right after
+    the largest one it couples with in the symmetric pattern, and last
+    those that couple with none (a singular tangent).  kl and ku are the
+    band's sub- and super-diagonals, and entry K.data[take[e]] lands at
+    flat index pos[e] of the Fortran-ordered band array, whose leading
+    dimension is 2 kl + ku + 1 (LAPACK ``dgbtrf`` storage, with kl rows
+    above the band for the pivots' fill).
     """
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     take = np.flatnonzero(free[rows] & free[indices])
     renum = np.cumsum(free) - 1
     rows, cols = renum[rows[take]], renum[indices[take]]
-    n = np.count_nonzero(free)
-    pattern = sp.csr_matrix((np.ones(len(take)), (rows, cols)), shape=(n, n))
-    best = None
-    for perm in (np.arange(n), reverse_cuthill_mckee(pattern,
-                                                     symmetric_mode=True)):
-        inv = np.empty(n, dtype=np.intp)
-        inv[perm] = np.arange(n)
-        i, j = inv[rows], inv[cols]
-        kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
-        if best is None or kl + ku < best[2] + best[3]:
-            best = (take, perm, kl, ku,
-                    kl + ku + i - j + (2 * kl + ku + 1) * j)
-    return best
+    n, nu = np.count_nonzero(free), np.count_nonzero(free[:nd])
+    # a stable sort puts each multiplier after the displacement of its key
+    key = np.arange(n)
+    key[nu:] = -1
+    lm = (rows >= nu) & (cols < nu)
+    np.maximum.at(key, rows[lm], cols[lm])
+    key[key < 0] = n
+    perm = np.argsort(key, kind="stable")
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    i, j = inv[rows], inv[cols]
+    kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+    return take, perm, kl, ku, kl + ku + i - j + (2 * kl + ku + 1) * j
 
 
 class _BandLU:

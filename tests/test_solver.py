@@ -1,6 +1,9 @@
 """End-to-end checks of the incremental Newton solver on small problems."""
 
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import igashell.benchmarks as benchmarks
 import igashell.elements as elements_mod
 import igashell.solver as solver_mod
 from igashell.benchmarks import (FOLD, build_bending_folded,
+                                 build_cylinder_pinch_nl,
                                  build_hemisphere_hole)
 from igashell.constraints import Multiplier, Penalty, RotationConstraint
 from igashell.elements import (PatchQuadrature, _add_geometric, _b_operators,
@@ -708,12 +712,14 @@ def follower_cantilever():
     lambda: build_bending_folded(2, 2, ("penalty", 1e4))[0],
     lambda: build_bending_folded(2, 2, ("lm", "n2q0"))[0],
     follower_cantilever,
-], ids=["penalty_strip", "multiplier_strip", "follower_load"])
+    lambda: build_cylinder_pinch_nl(2, 16)[0],
+], ids=["penalty_strip", "multiplier_strip", "follower_load", "pinch"])
 def test_band_solve_matches_dense_solve(build):
     """The band solve is backward stable to a few ulps, and agrees with a
     dense LU solve within their common bound, kappa times the rounding:
-    the penalty strip's 2-norm kappa is about 6e8 at this state, and both
-    LUs, band and SuperLU, differ from the dense one by about 1e-10."""
+    the penalty strip's 2-norm kappa is about 6e8 at this state, and the
+    band LU differs from the dense one by about 1e-10.  The pinch is the
+    widest saddle point: 931 free unknowns, 48 of them multipliers."""
     model = build()
     _, K, _ = model.assemble(*perturbed_state(model), 0.7)
     free = free_dofs(model)
@@ -761,18 +767,50 @@ def natural_bandwidth(model):
     return int(np.abs(Kff.row - Kff.col).max())
 
 
-def test_band_plan_takes_the_narrower_order():
-    """One patch numbers its nodes row by row and keeps that order; the
-    folded strip's multiplier rows come after every displacement and
-    take the reverse Cuthill-McKee order."""
+def test_band_plan_interleaves_the_multipliers():
+    """Displacements keep their natural order, row by row on one patch and
+    patch after patch on a chain; each multiplier comes right after the
+    largest free displacement DOF it couples with."""
     hemisphere = build_hemisphere_hole(2, 8)
     _, perm, kl, ku, _ = band_plan(hemisphere)
     assert np.array_equal(perm, np.arange(len(perm)))
     assert kl == ku == natural_bandwidth(hemisphere) == 64
+    penalty_strip = build_bending_folded(2, 2, ("penalty", 1e4))[0]
+    _, perm, _, _, _ = band_plan(penalty_strip)
+    assert np.array_equal(perm, np.arange(len(perm)))
+
     strip = build_bending_folded(2, 2, ("lm", "n2q0"))[0]
     _, perm, kl, ku, _ = band_plan(strip)
-    assert not np.array_equal(perm, np.arange(len(perm)))
-    assert (kl, ku, natural_bandwidth(strip)) == (59, 59, 291)
+    assert (kl, ku, natural_bandwidth(strip)) == (63, 63, 291)
+    free = free_dofs(strip)
+    nu = np.count_nonzero(free[:strip.mesh.n_dofs])
+    _, K, _ = strip.assemble(*perturbed_state(strip), 1.0)
+    coupling = K[free][:, free].tocoo()
+    lm = (coupling.row >= nu) & (coupling.col < nu)
+    anchor = np.full(len(perm), -1)
+    np.maximum.at(anchor, coupling.row[lm], coupling.col[lm])
+    assert len(perm) > nu and (anchor[nu:] >= 0).all()
+    assert np.array_equal(perm[perm < nu], np.arange(nu))
+    # the last displacement before each position in perm
+    before = np.cumsum(perm < nu) - 1
+    inv = np.argsort(perm)
+    assert np.array_equal(before[inv[nu:]], anchor[nu:])
+
+    pinch = build_cylinder_pinch_nl(2, 16)[0]
+    _, _, kl, ku, _ = band_plan(pinch)
+    assert kl == ku == 128
+
+
+def test_solver_and_cli_do_not_load_csgraph():
+    """The band order needs no graph algorithm: importing the solver and
+    the CLI leaves scipy.sparse.csgraph unloaded."""
+    src = str(Path(solver_mod.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import igashell.solver, igashell.cli; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_singular_tangent_raises_and_newton_cuts_the_step(monkeypatch):
