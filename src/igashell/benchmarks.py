@@ -10,6 +10,7 @@ state, since that is what the tabulated literature values mean.  Nonlinear
 cases march the load in increments and report the full path.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -196,21 +197,11 @@ def run_plate_sinusoidal(params=None):
 CYL = dict(E=3e6, nu=0.3, R=300.0, L=600.0, T=3.0, F=1.0)
 
 
-def flugge_reference(fast=True):
+@functools.lru_cache(maxsize=None)
+def flugge_reference():
     """Series deflection under the pinching load (cached)."""
-    key = "_flugge_fast" if fast else "_flugge_full"
-    if key not in _CACHE:
-        fc = FluggeCylinder(R=CYL["R"], L=CYL["L"], T=CYL["T"], E=CYL["E"],
-                            nu=CYL["nu"], P=CYL["F"])
-        if fast:
-            _CACHE[key] = fc.load_point_deflection()
-        else:
-            _CACHE[key] = fc.load_point_deflection(m_max=2 ** 14,
-                                                   n_max=2 ** 14, tol=0.0)
-    return _CACHE[key]
-
-
-_CACHE = {}
+    return FluggeCylinder(R=CYL["R"], L=CYL["L"], T=CYL["T"], E=CYL["E"],
+                          nu=CYL["nu"], P=CYL["F"]).load_point_deflection()
 
 
 def build_cylinder_linear(degree=4, n=32):

@@ -564,17 +564,16 @@ def write_field_csv(path, fo: FieldOutput):
     write_csv(path, header, [[f"{v:.9g}" for v in row] for row in data])
 
 
-def _vtk_block(fh, arr, fmt="{:.9g}"):
+def _vtk_block(fh, arr):
     for row in np.atleast_2d(arr):
-        fh.write(" ".join(fmt.format(v) for v in row) + "\n")
+        fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
 
 
-def write_vtk(path, fo: FieldOutput, title="shell field output"):
+def write_vtk(path, fo: FieldOutput):
     """Legacy ASCII VTK unstructured grid with quad cells and point data."""
     n, nc = len(fo.points), len(fo.cells)
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write("# vtk DataFile Version 3.0\nshell field output\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {n} float\n")
         _vtk_block(fh, fo.points)

@@ -184,9 +184,9 @@ class RotationConstraint:
                 ref_nt = np.broadcast_to(v, self.eq_a.X.shape).copy()
             self.fixed_nt = ref_nt
 
-        if np.any(self.eq_a.jac_edge0 <= 1e-12 * scale):
+        if np.any(self.eq_a.jac0 <= 1e-12 * scale):
             raise ValueError("degenerate edge tangent along constrained edge")
-        tau0 = self.eq_a.ref_tangent_vec / self.eq_a.jac_edge0[..., None]
+        tau0 = self.eq_a.ref_tangent_vec / self.eq_a.jac0[..., None]
         if alpha0 is None:
             # the forms of _EdgeGeometry, so x = X is at rest bit for bit
             self.c0 = dot3(self.eq_a.ref_normal, ref_nt)
@@ -194,7 +194,7 @@ class RotationConstraint:
         else:
             self.c0 = np.full((self.nel, self.ngp), np.cos(alpha0))
             self.s0 = np.full((self.nel, self.ngp), np.sin(alpha0))
-        self.wS = self.eq_a.wq * self.eq_a.jac_edge0
+        self.wS = self.eq_a.wq * self.eq_a.jac0
         self.edof_a = self.eq_a.edof
         self.edof_b = self.eq_b.edof if self.two_sided else None
         self._min_len = 1e-12 * scale
@@ -256,25 +256,27 @@ class RotationConstraint:
     # current geometry
 
     def _geometry(self, x_nodes) -> _EdgeGeometry:
-        acon_a, _, n_a, avec_a, aup_a = self.eq_a.current(x_nodes)
+        acon_a, _, n_a, avec_a, aup_a = self.eq_a.first_order(x_nodes)
         t_vec = avec_a[:, :, self.eq_a.xi_dir, :]
         alen = np.linalg.norm(t_vec, axis=-1)
         if np.any(alen < self._min_len):
             raise ValueError("degenerate edge tangent in current configuration")
         tau = t_vec / alen[..., None]
         if self.two_sided:
-            acon_b, _, n_b, _, aup_b = self.eq_b.current(x_nodes)
+            acon_b, _, n_b, _, aup_b = self.eq_b.first_order(x_nodes)
             return _EdgeGeometry(n_a, n_b, tau, alen, aup_a, acon_a,
                                  aup_b, acon_b)
         return _EdgeGeometry(n_a, self.fixed_nt, tau, alen, aup_a, acon_a,
                              None, None)
 
+    def _deviation(self, g: _EdgeGeometry):
+        """(cos, sin) of alpha - alpha0 on the geometry g."""
+        return (g.cosa * self.c0 + g.sina * self.s0,
+                g.sina * self.c0 - g.cosa * self.s0)
+
     def angle_deviation(self, x_nodes):
         """(cos, sin) of alpha - alpha0 at every edge quadrature point."""
-        g = self._geometry(x_nodes)
-        cosd = g.cosa * self.c0 + g.sina * self.s0
-        sind = g.sina * self.c0 - g.cosa * self.s0
-        return cosd, sind
+        return self._deviation(self._geometry(x_nodes))
 
     def moment(self, x_nodes, method):
         """Recovered constraint moment per unit current edge length.
@@ -288,9 +290,8 @@ class RotationConstraint:
         if isinstance(method, tuple):
             method, q = method
         g = self._geometry(x_nodes)
-        stretch = g.alen / self.eq_a.jac_edge0
-        cosd = g.cosa * self.c0 + g.sina * self.s0
-        sind = g.sina * self.c0 - g.cosa * self.s0
+        stretch = g.alen / self.eq_a.jac0
+        cosd, sind = self._deviation(g)
         if isinstance(method, Penalty):
             return method.epsilon * sind / stretch
         qg = self._q_field(q, method.interp)
@@ -488,8 +489,7 @@ class RotationConstraint:
         return np.matmul(np.asarray(q)[qconn], Nq.T)
 
     def _g_field(self, g: _EdgeGeometry):
-        cosd = g.cosa * self.c0 + g.sina * self.s0
-        sind = g.sina * self.c0 - g.cosa * self.s0
+        cosd, sind = self._deviation(g)
         return 1.0 - cosd + sind
 
     def lm_energy(self, x_nodes, q, method: Multiplier) -> float:

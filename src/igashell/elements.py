@@ -1,6 +1,10 @@
 """Element-level machinery: quadrature tables, internal force vectors,
 consistent tangent matrices, and external load contributions.
 
+Patch and edge tables share one builder and one first-order evaluation
+(``_Tables``); only the patch kernels read curvature
+(``PatchQuadrature.current``).  One integrator serves every dead load.
+
 Work conjugacy fixes the factors used throughout: with tau = 2 dW/da and
 M0 = dW/db per unit reference area,
 
@@ -27,9 +31,8 @@ __all__ = [
     "force_pass",
     "internal_forces",
     "total_energy",
-    "dead_area_load",
+    "dead_load",
     "follower_pressure",
-    "dead_edge_traction",
     "follower_edge_moment",
     "point_load",
 ]
@@ -70,17 +73,21 @@ def _point_sum(u, v, w):
 
 
 class _Tables:
-    """Basis tables at quadrature points, stacked over elements.
+    """Basis tables and reference geometry at quadrature points, stacked
+    over elements, made by the one builder ``_build``.
 
     N (nel, ngp, nloc), dN (..., 2) and d2N (..., 3) with the mixed
     derivative last, the global nodes ``conn`` (nel, nloc) and DOFs
-    ``edof`` (nel, 3 nloc) of each element, and the weights ``wq``.
+    ``edof`` (nel, 3 nloc) of each element, the weights ``wq``, and the
+    reference measure ``jac0``: the area element on a patch, the length
+    element along an edge (``xi_dir`` runs along it; None on a patch).
     ``STACKED`` names the per-element arrays the kernels read, and
     ``SHARED`` the other attributes they read.
     """
 
-    STACKED = ("N", "dN", "d2N", "conn", "wq", "edof")
+    STACKED = ("N", "dN", "d2N", "conn", "wq", "edof", "ref_state", "jac0")
     SHARED = ()
+    xi_dir = None
 
     @classmethod
     def stack(cls, tables):
@@ -109,34 +116,51 @@ class _Tables:
         out.nel, out.ngp, out.nloc = out.N.shape
         return out
 
-    def _tabulate(self, patch, u, v, nel):
-        """N, dN, d2N (nel, ngp, ...) from ``patch.basis2d`` at (u, v),
-        whose leading axes run over the elements; ``local_ids`` is each
-        element's first idx."""
+    def _build(self, patch, node_ids, node_coords, u, v, wq):
+        """Tabulate ``patch.basis2d`` at (u, v), whose leading axes run over
+        the elements, with the weights wq (nel, ngp); returns the reference
+        tangents A_a (nel, ngp, 2, 3).  ``node_ids`` maps the control points
+        to rows of the reference node coordinates ``node_coords``, from
+        which the reference geometry is computed as every current state is;
+        so x = X is the reference state bit for bit, also where coincident
+        control points merge into one node.
+        """
         idx, N, dN, d2N = patch.basis2d(u, v)
-        k = idx.ndim - 1
+        k, nel = idx.ndim - 1, len(wq)
         idx, self.N, self.dN, self.d2N = (
             T.reshape((nel, -1) + T.shape[k:]) for T in (idx, N, dN, d2N))
         self.local_ids = idx[:, 0]
         self.nel, self.ngp, self.nloc = self.N.shape
+        self.conn = node_ids[self.local_ids]
+        self.wq = wq
+        self.edof = (3 * self.conn[:, :, None] + np.arange(3)[None, None, :]
+                     ).reshape(self.nel, 3 * self.nloc)
+        Xe = node_coords[self.conn]                         # (nel, nloc, 3)
+        self.X = np.einsum("egn,eni->egi", self.N, Xe)
+        A_vec = _at_points(self.dN, Xe)
+        self.ref_state, self.ref_normal = surface_vectors_state(
+            A_vec, _at_points(self.d2N, Xe))
+        self.jac0 = (self.ref_state.jac if self.xi_dir is None else
+                     np.linalg.norm(A_vec[:, :, self.xi_dir], axis=-1))
+        return A_vec
+
+    def first_order(self, x_nodes: np.ndarray):
+        """(a_con, jac, normal, a_vec, a_up) at every quadrature point, bit
+        for bit those of ``PatchQuadrature.current``, with no curvature:
+        what the rotation constraints and the follower loads read."""
+        a_vec = _at_points(self.dN, x_nodes[self.conn])
+        a_cov, normal = surface_basis(a_vec)
+        det_a, a_con = inverse_metric(a_cov)
+        return a_con, np.sqrt(det_a), normal, a_vec, np.matmul(a_con, a_vec)
 
 
 class PatchQuadrature(_Tables):
-    """Per-element basis tables and reference geometry for one patch.
-
-    ``node_ids`` maps the patch's control points to rows of ``node_coords``,
-    the reference node coordinates (``Mesh.node_coords``), from which the
-    reference geometry is computed as every current state is; so x = X is
-    the reference state bit for bit, also where coincident control points
-    merge into one node.  Quadrature uses (p + 1) x (q + 1) Gauss points per
-    element, tabulated by one ``Patch.basis2d`` call on the Gauss grid.
-    """
-
-    STACKED = _Tables.STACKED + ("ref_state", "jacA")
+    """The tables of one patch on (p + 1) x (q + 1) Gauss points per
+    element (or ``n_gauss``); ``current`` adds the curvature the patch
+    kernels read."""
 
     def __init__(self, patch: Patch, node_ids: np.ndarray,
                  node_coords: np.ndarray, n_gauss=None):
-        self.patch = patch
         bu, bv = patch.basis_u, patch.basis_v
         ngu, ngv = (bu.degree + 1, bv.degree + 1) if n_gauss is None else n_gauss
         tu, wu = gauss_01(ngu)
@@ -144,22 +168,11 @@ class PatchQuadrature(_Tables):
         # the Gauss grid u_e + t h_e along each direction, (nel, ng)
         u, v = (b.breaks[:-1, None] + t[None, :] * b.h[:, None]
                 for b, t in ((bu, tu), (bv, tv)))
-        self._tabulate(patch, u[None, :, None, :], v[:, None, :, None],
-                       patch.n_elements)
-        nel, ngp, nloc = self.nel, self.ngp, self.nloc
-        self.conn = node_ids[self.local_ids]
         # w_u w_v h_u h_v, multiplied in that order, (nel_v, nel_u, ngv, ngu)
-        self.wq = ((wv[:, None] * wu[None, :]) * bu.h[:, None, None]
-                   * bv.h[:, None, None, None]).reshape(nel, ngp)
-        self.edof = (3 * self.conn[:, :, None]
-                     + np.arange(3)[None, None, :]).reshape(nel, 3 * nloc)
-        # reference geometry at the quadrature points
-        Xe = node_coords[self.conn]                         # (nel, nloc, 3)
-        self.X = np.einsum("egn,eni->egi", self.N, Xe)
-        A_vec = _at_points(self.dN, Xe)
-        H_vec = _at_points(self.d2N, Xe)
-        self.ref_state, self.ref_normal = surface_vectors_state(A_vec, H_vec)
-        self.jacA = self.ref_state.jac                      # (nel, ngp)
+        wq = ((wv[:, None] * wu[None, :]) * bu.h[:, None, None]
+              * bv.h[:, None, None, None]).reshape(patch.n_elements, -1)
+        self._build(patch, node_ids, node_coords, u[None, :, None, :],
+                    v[:, None, :, None], wq)
 
     def current(self, x_nodes: np.ndarray):
         """(state, normal, a_vec, a_up, h_vec, gamma) at every quadrature
@@ -173,6 +186,37 @@ class PatchQuadrature(_Tables):
         a_up = np.matmul(state.a_con, a_vec)
         gamma = np.matmul(a_up, h_vec.swapaxes(-1, -2))
         return state, normal, a_vec, a_up, h_vec, gamma
+
+
+class EdgeQuadrature(_Tables):
+    """The tables of one side of a patch, on p + 1 Gauss points per element
+    along it (or ``n_gauss``), with the full 2D element basis.
+
+    The running parameter ``xi_dir`` is u for sides v0/v1 and v for u0/u1,
+    and ``ref_tangent_vec`` the reference tangent along it.  ``reverse``
+    lays the points out in reversed element and Gauss order, running against
+    the edge parameter, as the mate side of a reversed interface needs.
+    """
+
+    SHARED = ("xi_dir",)
+
+    def __init__(self, patch: Patch, node_ids: np.ndarray,
+                 node_coords: np.ndarray, side: str, n_gauss=None,
+                 reverse=False):
+        along_u = side in ("v0", "v1")
+        self.xi_dir = 0 if along_u else 1
+        run, fix = ((patch.basis_u, patch.basis_v) if along_u
+                    else (patch.basis_v, patch.basis_u))
+        tg, wg = gauss_01(run.degree + 1 if n_gauss is None else n_gauss)
+        els = np.arange(run.n_elements)
+        if reverse:
+            els, tg, wg = els[::-1], tg[::-1], wg[::-1]
+        s = run.breaks[els, None] + tg[None, :] * run.h[els, None]
+        fixed = fix.breaks[-1 if side.endswith("1") else 0]
+        A_vec = self._build(patch, node_ids, node_coords,
+                            *((s, fixed) if along_u else (fixed, s)),
+                            wg[None, :] * run.h[els, None])
+        self.ref_tangent_vec = A_vec[:, :, self.xi_dir, :]
 
 
 def _b_operators(pq, normal, a_vec, gamma):
@@ -281,7 +325,7 @@ def force_pass(pq: PatchQuadrature, material, x_nodes):
     state, normal, a_vec, a_up, _, gamma = pq.current(x_nodes)
     ref = pq.ref_state
     nel, ngp = pq.nel, pq.ngp
-    w = pq.wq * pq.jacA                                    # (nel, ngp)
+    w = pq.wq * pq.jac0                                    # (nel, ngp)
     sv = material.stress_voigt(ref, state)                 # (nel, ngp, 6)
     B, Nt = _b_operators(pq, normal, a_vec, gamma)
     half = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
@@ -353,30 +397,32 @@ def total_energy(pq: PatchQuadrature, material, x_nodes):
     """Stored energy over the patch (meaningful for the direct models)."""
     state, _, _, _, _, _ = pq.current(x_nodes)
     W = material.energy(pq.ref_state, state)
-    return float((pq.wq * pq.jacA * W).sum())
+    return float((pq.wq * pq.jac0 * W).sum())
 
 
 # ---------------------------------------------------------------------------
-# surface loads
+# loads
 
 
-def dead_area_load(pq: PatchQuadrature, t):
-    """Constant or position-dependent traction per unit reference area."""
+def dead_load(q: _Tables, t):
+    """Element forces (nel, 3 nloc) of a traction per unit reference
+    measure -- area on a patch, length on an edge -- constant or a callable
+    of the reference point X."""
     if callable(t):
-        tv = np.asarray([[t(x) for x in row] for row in pq.X])
+        tv = np.asarray([[t(x) for x in row] for row in q.X])
     else:
-        tv = np.broadcast_to(np.asarray(t, dtype=float), pq.X.shape)
-    w = pq.wq * pq.jacA
-    f_el = np.einsum("egn,egi->eni", pq.N, tv * w[..., None])
-    return f_el.reshape(pq.nel, -1)
+        tv = np.broadcast_to(np.asarray(t, dtype=float), q.X.shape)
+    w = q.wq * q.jac0
+    f_el = np.einsum("egn,egi->eni", q.N, tv * w[..., None])
+    return f_el.reshape(q.nel, -1)
 
 
 def follower_pressure(pq: PatchQuadrature, x_nodes):
     """(f_el, finish) of a unit pressure along the current normal on the
     current area, as ``force_pass`` returns them; both are linear in the
     pressure, which the caller multiplies in."""
-    state, normal, a_vec, a_up, _, _ = pq.current(x_nodes)
-    w = pq.wq * state.jac                                  # current measure
+    _, jac, normal, _, a_up = pq.first_order(x_nodes)
+    w = pq.wq * jac                                        # current measure
     f_el = _point_sum(pq.N, normal, w).reshape(pq.nel, -1)
 
     def finish():
@@ -404,78 +450,6 @@ def point_load(mesh: Mesh, patch_idx: int, u: float, v: float, F):
     return nodes, N[:, None] * np.asarray(F, dtype=float)[None, :]
 
 
-# ---------------------------------------------------------------------------
-# edge tables and loads
-
-
-class EdgeQuadrature(_Tables):
-    """Boundary-strip tables for one side of a patch.
-
-    The running parameter is u for sides v0/v1 and v for u0/u1; ``xi_dir``
-    stores which of the two surface parameters runs along the edge.  The full
-    2D element basis is tabulated at the edge Gauss points, by one
-    ``Patch.basis2d`` call, so that rotation coupled quantities (normals,
-    curvatures) are available.  ``reverse``
-    lays the points out in reversed element and Gauss order, running against
-    the edge parameter, as the mate side of a reversed interface needs.
-    ``node_ids`` and ``node_coords`` are those of ``PatchQuadrature``.
-    """
-
-    STACKED = _Tables.STACKED + ("jac_edge0",)
-    SHARED = ("xi_dir",)
-
-    def __init__(self, patch: Patch, node_ids: np.ndarray,
-                 node_coords: np.ndarray, side: str, n_gauss=None,
-                 reverse=False):
-        self.patch = patch
-        self.side = side
-        along_u = side in ("v0", "v1")
-        self.xi_dir = 0 if along_u else 1
-        run, fix = ((patch.basis_u, patch.basis_v) if along_u
-                    else (patch.basis_v, patch.basis_u))
-        tg, wg = gauss_01(run.degree + 1 if n_gauss is None else n_gauss)
-        els = np.arange(run.n_elements)
-        if reverse:
-            els, tg, wg = els[::-1], tg[::-1], wg[::-1]
-        s = run.breaks[els, None] + tg[None, :] * run.h[els, None]
-        fixed = fix.breaks[-1 if side.endswith("1") else 0]
-        self._tabulate(patch, *((s, fixed) if along_u else (fixed, s)),
-                       len(els))
-        self.conn = node_ids[self.local_ids]
-        self.wq = wg[None, :] * run.h[els, None]
-        self.edof = (3 * self.conn[:, :, None] + np.arange(3)[None, None, :]
-                     ).reshape(self.nel, 3 * self.nloc)
-        Xe = node_coords[self.conn]
-        self.X = np.einsum("egn,eni->egi", self.N, Xe)
-        A_vec = _at_points(self.dN, Xe)
-        H_vec = _at_points(self.d2N, Xe)
-        self.ref_state, self.ref_normal = surface_vectors_state(A_vec, H_vec)
-        self.ref_tangent_vec = A_vec[:, :, self.xi_dir, :]
-        self.jac_edge0 = np.linalg.norm(self.ref_tangent_vec, axis=-1)
-
-    def current(self, x_nodes: np.ndarray):
-        """(a_con, jac, normal, a_vec, a_up) at every quadrature point: the
-        first fundamental form, its area factor, the normal, the tangents
-        and the raised tangents, bit for bit those of
-        ``PatchQuadrature.current``.  The edge kernels read no curvature,
-        so no second derivative is formed."""
-        a_vec = _at_points(self.dN, x_nodes[self.conn])
-        a_cov, normal = surface_basis(a_vec)
-        det_a, a_con = inverse_metric(a_cov)
-        return a_con, np.sqrt(det_a), normal, a_vec, np.matmul(a_con, a_vec)
-
-
-def dead_edge_traction(eq: EdgeQuadrature, t):
-    """Force per unit reference edge length, constant or callable of X."""
-    if callable(t):
-        tv = np.asarray([[t(x) for x in row] for row in eq.X])
-    else:
-        tv = np.broadcast_to(np.asarray(t, dtype=float), eq.X.shape)
-    w = eq.wq * eq.jac_edge0
-    f_el = np.einsum("egn,egi->eni", eq.N, tv * w[..., None])
-    return f_el.reshape(eq.nel, -1)
-
-
 def follower_edge_moment(eq: EdgeQuadrature, x_nodes):
     """(f_el, finish) of a unit moment per unit current length about the
     running edge tangent, as ``force_pass`` returns them; both are linear in
@@ -490,7 +464,7 @@ def follower_edge_moment(eq: EdgeQuadrature, x_nodes):
     Positive m rotates the surface edge by the right-hand rule about the
     tangent that points along increasing edge parameter.
     """
-    a_con, jac, normal, a_vec, a_up = eq.current(x_nodes)
+    a_con, jac, normal, a_vec, a_up = eq.first_order(x_nodes)
     eps_col = _EPS2[:, eq.xi_dir]                           # eps[d, xi]
     P = np.matmul(a_con, eps_col)
     q = _surface_sum(eq.dN, P)                              # (nel, ngp, nloc)

@@ -27,6 +27,8 @@ from .nurbs import (
 )
 
 SIDES = ("u0", "u1", "v0", "v1")
+# control points closer than this times the bounding-box diagonal merge
+MERGE_TOL_REL = 1e-9
 
 
 class MeshFormatError(ValueError):
@@ -230,10 +232,9 @@ class Interface:
 class Mesh:
     """A collection of patches with merged coincident control points."""
 
-    def __init__(self, patches, sets=None, interfaces=None, merge_tol_rel: float = 1e-9):
+    def __init__(self, patches, sets=None, interfaces=None):
         self.patches: list[Patch] = list(patches)
         self.sets: dict = dict(sets or {})
-        self.merge_tol_rel = merge_tol_rel
         self._build_global_nodes()
         self.interfaces: list[Interface] = (list(interfaces) if interfaces is not None
                                             else self.detect_interfaces())
@@ -245,7 +246,7 @@ class Mesh:
         weights = np.concatenate([p.weights for p in self.patches])
         lo, hi = coords.min(axis=0), coords.max(axis=0)
         diag = float(np.linalg.norm(hi - lo))
-        tol = self.merge_tol_rel * (diag if diag > 0.0 else 1.0)
+        tol = MERGE_TOL_REL * (diag if diag > 0.0 else 1.0)
         parent = np.arange(len(coords))
 
         def find(i):
@@ -352,31 +353,35 @@ class Mesh:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Mesh":
-        if not isinstance(data, dict) or "patches" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("patches"),
+                                                        list):
             raise MeshFormatError("mesh JSON must contain a 'patches' list")
         patches = []
         for k, pd in enumerate(data["patches"]):
+            where = f"patch {k}"
+            if not isinstance(pd, dict):
+                raise MeshFormatError(f"{where}: must be an object")
             try:
                 pts = np.asarray(pd["points"], dtype=float)
                 if pts.ndim != 2 or pts.shape[1] != 4:
                     raise MeshFormatError(
-                        f"patch {k}: points must be [[x, y, z, w], ...]")
+                        f"{where}: points must be [[x, y, z, w], ...]")
                 patch = Patch(int(pd["degree_u"]), int(pd["degree_v"]),
                               np.asarray(pd["knots_u"], dtype=float),
                               np.asarray(pd["knots_v"], dtype=float),
                               pts[:, :3], pts[:, 3])
+                if patch.n_u != int(pd["n_u"]) or patch.n_v != int(pd["n_v"]):
+                    raise MeshFormatError(
+                        f"{where}: n_u/n_v inconsistent with knot vectors")
             except KeyError as exc:
-                raise MeshFormatError(f"patch {k}: missing field {exc}") from exc
-            if patch.n_u != int(pd["n_u"]) or patch.n_v != int(pd["n_v"]):
-                raise MeshFormatError(
-                    f"patch {k}: n_u/n_v inconsistent with knot vectors")
+                raise MeshFormatError(f"{where}: missing field {exc}") from exc
             patches.append(patch)
-        interfaces = None
-        if "interfaces" in data and data["interfaces"] is not None:
-            interfaces = [Interface(int(d["patch_a"]), str(d["side_a"]),
-                                    int(d["patch_b"]), str(d["side_b"]),
-                                    bool(d.get("reversed", False)))
-                          for d in data["interfaces"]]
+        interfaces = data.get("interfaces")
+        if interfaces is not None:
+            if not isinstance(interfaces, list):
+                raise MeshFormatError("mesh JSON 'interfaces' must be a list")
+            interfaces = [_read_interface(d, f"interface {k}", len(patches))
+                          for k, d in enumerate(interfaces)]
         return cls(patches, sets=data.get("sets"), interfaces=interfaces)
 
     def save(self, path):
@@ -391,6 +396,26 @@ class Mesh:
             except json.JSONDecodeError as exc:
                 raise MeshFormatError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _read_interface(d, where, n_patches) -> Interface:
+    """One interface of a mesh document, its patches and sides checked."""
+    if not isinstance(d, dict):
+        raise MeshFormatError(f"{where}: must be an object")
+    try:
+        iface = Interface(int(d["patch_a"]), str(d["side_a"]),
+                          int(d["patch_b"]), str(d["side_b"]),
+                          bool(d.get("reversed", False)))
+    except KeyError as exc:
+        raise MeshFormatError(f"{where}: missing field {exc}") from exc
+    for patch, side in ((iface.patch_a, iface.side_a),
+                        (iface.patch_b, iface.side_b)):
+        if not 0 <= patch < n_patches:
+            raise MeshFormatError(f"{where}: patch {patch} does not exist "
+                                  f"(mesh has {n_patches})")
+        if side not in SIDES:
+            raise MeshFormatError(f"{where}: unknown side {side!r}")
+    return iface
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +515,15 @@ def make_plate(lx: float, ly: float, degree: int, n_x: int, n_y: int,
 
 
 def make_cylinder_panel(radius: float, length: float, phi0: float, phi1: float,
-                        degree: int, n_axial: int, n_circ: int,
-                        x_start: float = 0.0) -> Patch:
+                        degree: int, n_axial: int, n_circ: int) -> Patch:
     """Cylinder segment about the x axis: points (x, R cos(phi), R sin(phi)).
 
-    Angles are in degrees.  u runs axially over [x_start, x_start + length],
+    Angles are in degrees.  u runs axially over [0, length],
     v circumferentially over [phi0, phi1] (still in degrees).
     """
     arc = _elevate_to(_arc_homogeneous(radius, np.radians(phi0),
                                        np.radians(phi1)), 2, degree)
-    line = _elevate_to(_line_homogeneous(x_start, x_start + length), 1, degree)
+    line = _elevate_to(_line_homogeneous(0.0, length), 1, degree)
     n = degree + 1
     grid = np.zeros((n, n, 4))
     for j in range(n):        # circumferential (v)
@@ -508,7 +532,7 @@ def make_cylinder_panel(radius: float, length: float, phi0: float, phi1: float,
             x, wx = line[i]
             grid[j, i] = [w * x, wy, wz, w]
     patch = _single_span_patch(degree, degree, grid,
-                               u_range=(x_start, x_start + length),
+                               u_range=(0.0, length),
                                v_range=(phi0, phi1))
     return refined(patch, n_axial, n_circ)
 

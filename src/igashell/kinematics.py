@@ -73,18 +73,17 @@ def raise2(a_con: np.ndarray, M_cov: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(a_con, M_cov), a_con)
 
 
-def to_voigt(M: np.ndarray, shear_factor: float = 1.0) -> np.ndarray:
+def to_voigt(M: np.ndarray) -> np.ndarray:
     """(..., 2, 2) symmetric tensor -> (..., 3) in order (11, 22, 12)."""
-    out = np.stack([M[..., 0, 0], M[..., 1, 1], shear_factor * M[..., 0, 1]], axis=-1)
-    return out
+    return np.stack([M[..., 0, 0], M[..., 1, 1], M[..., 0, 1]], axis=-1)
 
 
-def from_voigt(v: np.ndarray, shear_factor: float = 1.0) -> np.ndarray:
+def from_voigt(v: np.ndarray) -> np.ndarray:
+    """(..., 3) in order (11, 22, 12) -> (..., 2, 2) symmetric tensor."""
     out = np.empty(v.shape[:-1] + (2, 2))
     out[..., 0, 0] = v[..., 0]
     out[..., 1, 1] = v[..., 1]
-    out[..., 0, 1] = v[..., 2] / shear_factor
-    out[..., 1, 0] = v[..., 2] / shear_factor
+    out[..., 0, 1] = out[..., 1, 0] = v[..., 2]
     return out
 
 

@@ -212,12 +212,7 @@ class MixedMaterial(ShellMaterial):
         return tau, M0
 
     def moduli_voigt(self, ref, cur):
-        J = cur.jac / ref.jac
-        a = cur.a_con
-        S = sym_voigt(a, a)
-        J2 = (J ** 2)[..., None, None]
-        C = (self.lam * (J2 * outer_voigt(a, a) - (J2 - 1.0) * S)
-             + 2.0 * self.mu * S)
+        C = self._membrane.moduli_voigt(ref, cur)[0]
         zero = np.zeros_like(C)
         return C, zero, zero, self._bending.moduli_voigt(ref, cur)[3]
 

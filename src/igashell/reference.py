@@ -228,6 +228,6 @@ def l2_displacement_error(quads, x_nodes, exact_fn, area: float,
         u_h = np.einsum("egn,eni->egi", pq.N,
                         x_nodes[pq.conn] - ref_coords[pq.conn])
         diff = u_h - exact_fn(pi, pq.X)
-        total += float(np.sum(pq.wq * pq.jacA
+        total += float(np.sum(pq.wq * pq.jac0
                               * np.sum(diff ** 2, axis=-1)))
     return np.sqrt(total / area)

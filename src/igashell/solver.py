@@ -72,9 +72,9 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .constraints import Multiplier, Penalty, RotationConstraint
-from .elements import (EdgeQuadrature, PatchQuadrature, dead_area_load,
-                       dead_edge_traction, follower_edge_moment,
-                       follower_pressure, force_pass, point_load)
+from .elements import (EdgeQuadrature, PatchQuadrature, dead_load,
+                       follower_edge_moment, follower_pressure, force_pass,
+                       point_load)
 
 
 class NonConvergenceError(RuntimeError):
@@ -148,11 +148,11 @@ class Model:
 
     def add_body_load(self, patch: int, t) -> None:
         pq = self.quads[patch]
-        self.dead_forces.append((pq.edof, dead_area_load(pq, t)))
+        self.dead_forces.append((pq.edof, dead_load(pq, t)))
 
     def add_edge_traction(self, patch: int, side: str, t) -> None:
         eq = self._edge_quad(patch, side)
-        self.dead_forces.append((eq.edof, dead_edge_traction(eq, t)))
+        self.dead_forces.append((eq.edof, dead_load(eq, t)))
 
     def add_point_force(self, patch: int, u: float, v: float, F) -> None:
         nodes, rows = point_load(self.mesh, patch, u, v, F)

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from igashell.cli import main
+from igashell.geometry import Mesh, make_plate
 
 TINY_RUN = {
     "mesh": {"type": "plate", "lx": 1.0, "ly": 1.0, "degree": 2,
@@ -43,6 +44,24 @@ def test_run_invalid_config_exits_2(tmp_path, capsys):
     rc = main(["run", "--config", _write(tmp_path, doc)])
     assert rc == 2
     assert "material" in capsys.readouterr().err
+
+
+def test_run_malformed_mesh_file_exits_2(tmp_path, capsys):
+    """A mesh file whose interface names a patch the mesh lacks is a config
+    error, not a traceback."""
+    blob = Mesh([make_plate(1.0, 1.0, 2, 2, 2)]).to_json_dict()
+    blob["interfaces"] = [{"patch_a": 0, "side_a": "u1", "patch_b": 5,
+                           "side_b": "u0"}]
+    (tmp_path / "mesh.json").write_text(json.dumps(blob))
+    doc = json.loads(json.dumps(TINY_RUN))
+    doc["mesh"] = {"type": "file", "path": "mesh.json"}
+    doc["constraints"].append({"kind": "interface", "index": 0,
+                               "method": "penalty", "epsilon": 1e4})
+    rc = main(["run", "--config", _write(tmp_path, doc), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "patch 5 does not exist" in err
 
 
 def test_run_writes_artifacts(tmp_path, capsys):

@@ -16,8 +16,7 @@ from igashell.elements import (
     _normal_kron,
     _point_sum,
     _surface_sum,
-    dead_area_load,
-    dead_edge_traction,
+    dead_load,
     follower_edge_moment,
     follower_pressure,
     gauss_01,
@@ -210,10 +209,11 @@ def test_point_contractions_match_einsum(which):
     else:
         state, normal = surface_vectors_state(a_vec, h_vec)
         a_up = np.matmul(state.a_con, a_vec)
-        # the edge tables form the first fundamental form only, bit for bit
-        for got, want in zip(eq.current(x), (state.a_con, state.jac, normal,
-                                             a_vec, a_up)):
-            assert np.array_equal(got, want)
+    # the shared first-order evaluation forms those of PatchQuadrature.current
+    # without the curvature, bit for bit
+    for got, want in zip(q.first_order(x), (state.a_con, state.jac, normal,
+                                            a_vec, a_up)):
+        assert np.array_equal(got, want)
     A, b = state.a_con, state.b_cov
     cr = np.cross(a_vec[..., 0, :], a_vec[..., 1, :])
     rng = np.random.default_rng(4)
@@ -271,7 +271,7 @@ def test_point_contractions_match_einsum(which):
         B, Nt = _b_operators(pq, normal, a_vec, gamma)
         sv = KOITER.stress_voigt(pq.ref_state, state)
         half = np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
-        wA = pq.wq * pq.jacA
+        wA = pq.wq * pq.jac0
         pairs += [
             ("gamma", gamma, np.einsum("egci,egri->egcr", a_up, h_vec)),
             ("Nt", Nt, pq.d2N - np.einsum("egcr,egnc->egnr", gamma, pq.dN)),
@@ -352,7 +352,7 @@ def test_dead_area_load_resultant():
     pq = PatchQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
                          mesh.node_coords)
     t = np.array([0.0, 0.0, -3.0])
-    fe = dead_area_load(pq, t)
+    fe = dead_load(pq, t)
     total = np.zeros(mesh.n_dofs)
     np.add.at(total, pq.edof, fe)
     assert np.allclose(total.reshape(-1, 3).sum(axis=0), t * 1.0, atol=1e-12)
@@ -399,7 +399,7 @@ def test_dead_edge_traction_resultant():
     eq = EdgeQuadrature(mesh.patches[0], mesh.patch_node_ids[0],
                         mesh.node_coords, "u1")
     t = np.array([1.0, 0.5, -2.0])
-    fe = dead_edge_traction(eq, t)
+    fe = dead_load(eq, t)
     total = np.zeros(mesh.n_dofs)
     np.add.at(total, eq.edof, fe)
     assert np.allclose(total.reshape(-1, 3).sum(axis=0), t * 1.5, atol=1e-12)

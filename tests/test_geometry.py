@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from igashell.geometry import (
+    MERGE_TOL_REL,
     Interface,
     Mesh,
     MeshFormatError,
@@ -168,19 +169,38 @@ def test_mesh_json_round_trip(tmp_path):
         assert np.allclose(p.knots_u, q.knots_u)
 
 
+ONE_INTERFACE = {"patch_a": 0, "side_a": "u1", "patch_b": 0,
+                 "side_b": "u0"}
+# (change to a valid one-patch mesh document, what the error says)
+MALFORMED = [
+    (lambda b: b["patches"][0].update(degree_u=9), "degrees"),
+    (lambda b: b["patches"][0].pop("points"), "missing field 'points'"),
+    (lambda b: b["patches"][0].pop("n_u"), "missing field 'n_u'"),
+    (lambda b: b["patches"][0].pop("n_v"), "missing field 'n_v'"),
+    (lambda b: b["patches"].__setitem__(0, [1, 2]),
+     "patch 0: must be an object"),
+    (lambda b: b.update(interfaces=[{k: v for k, v in ONE_INTERFACE.items()
+                                     if k != "side_a"}]),
+     "interface 0: missing field 'side_a'"),
+    (lambda b: b.update(interfaces=[dict(ONE_INTERFACE, patch_b=5)]),
+     "interface 0: patch 5 does not exist"),
+    (lambda b: b.update(interfaces=[dict(ONE_INTERFACE, patch_a=-1)]),
+     "interface 0: patch -1 does not exist"),
+    (lambda b: b.update(interfaces=[dict(ONE_INTERFACE, side_b="w1")]),
+     "interface 0: unknown side 'w1'"),
+    (lambda b: b.update(interfaces=["u0"]), "interface 0: must be an object"),
+    (lambda b: b.update(interfaces={"0": ONE_INTERFACE}), "must be a list"),
+]
+
+
 def test_mesh_rejects_malformed_input(tmp_path):
-    mesh = Mesh([make_plate(1.0, 1.0, 2, 2, 2)])
-    blob = mesh.to_json_dict()
-    blob["patches"][0]["degree_u"] = 9
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(blob))
-    with pytest.raises(MeshFormatError):
-        Mesh.load(path)
-    blob = mesh.to_json_dict()
-    del blob["patches"][0]["points"]
-    path.write_text(json.dumps(blob))
-    with pytest.raises(MeshFormatError):
-        Mesh.load(path)
+    for mutate, says in MALFORMED:
+        blob = Mesh([make_plate(1.0, 1.0, 2, 2, 2)]).to_json_dict()
+        mutate(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(MeshFormatError, match=says):
+            Mesh.load(path)
 
 
 def test_degenerate_pole_nodes_merge():
@@ -197,7 +217,7 @@ def brute_force_merge(mesh):
     point index of their cluster."""
     coords = np.vstack([p.points for p in mesh.patches])
     diag = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
-    tol = mesh.merge_tol_rel * (diag if diag > 0.0 else 1.0)
+    tol = MERGE_TOL_REL * (diag if diag > 0.0 else 1.0)
     close = np.linalg.norm(coords[:, None] - coords[None], axis=-1) <= tol
     label = np.arange(len(coords))
     while True:
