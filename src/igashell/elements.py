@@ -252,16 +252,16 @@ def _kron_rows(a, v):
     return r.reshape(*r.shape[:-2], -1)
 
 
-def _gauss_sum(L, R):
+def _gauss_sum(L, R, out=None):
     """sum over Gauss points g and rows k of the outer products L[e,g,k] R[e,g,k].
 
     L (nel, ngp, k, p) and R (nel, ngp, k, q) are viewed as (nel, ngp k, .),
     so the Gauss sum is the inner dimension of one matmul: (nel, p, q), with
-    no per-Gauss-point p x q temporary.
+    no per-Gauss-point p x q temporary.  It is written to ``out`` if given.
     """
     nel = L.shape[0]
     return np.matmul(L.reshape(nel, -1, L.shape[-1]).swapaxes(1, 2),
-                     R.reshape(nel, -1, R.shape[-1]))
+                     R.reshape(nel, -1, R.shape[-1]), out=out)
 
 
 def _metric_kron(dNl, W, x, dNr, y):
@@ -303,14 +303,19 @@ def internal_forces(pq: PatchQuadrature, material, x_nodes, tangent=True):
     return f_el, (finish() if tangent else None)
 
 
+_CHUNK_BYTES = 2**20        # the size of a chunk of T in ``force_pass``
+
+
 def force_pass(pq: PatchQuadrature, material, x_nodes):
     """(f_el, finish): the element internal forces (nel, nd) at x_nodes,
-    and a function of no arguments that returns the element tangents
-    K_el (nel, nd, nd) at the same state from what this pass computed.
+    and a function that returns the element tangents K_el (nel, nd, nd) at
+    the same state from what this pass computed.
 
     The pass forms the kinematics, the stress resultants and the B
     operators once; ``finish`` adds the moduli and the stiffness terms and
-    then lets go of B.  Call it at most once.
+    then lets go of B.  Call it at most once.  ``finish(out)`` writes K_el
+    into the array ``out`` and returns it, so a caller can reuse one
+    buffer for every tangent.
 
     Every stiffness term is one matmul whose inner dimension is the Gauss
     point axis (times a few rows per point), so the Gauss sum happens inside
@@ -333,7 +338,7 @@ def force_pass(pq: PatchQuadrature, material, x_nodes):
     f_el = np.matmul((sv * half * w[..., None]).reshape(nel, 1, -1),
                      B.reshape(nel, ngp * 6, -1))[:, 0]
 
-    def finish():
+    def finish(out=None):
         nonlocal B
         C, D, E4, F = material.moduli_voigt(ref, state)    # (nel, ngp, 3, 3)
         M6 = np.empty((nel, ngp, 6, 6))
@@ -341,10 +346,16 @@ def force_pass(pq: PatchQuadrature, material, x_nodes):
         M6[:, :, :3, 3:] = 0.5 * D
         M6[:, :, 3:, :3] = 0.5 * E4
         M6[:, :, 3:, 3:] = F
-        T = np.matmul(M6, B)
-        T *= w[..., None, None]
-        K = _gauss_sum(B, T)
-        del B, T    # the largest temporaries; the terms below need neither
+        # T = M6 B w, as large as B, is formed a chunk of elements at a time
+        K = np.empty((nel, B.shape[-1], B.shape[-1])) if out is None else out
+        step = max(1, _CHUNK_BYTES * nel // max(B.nbytes, 1))
+        for e0 in range(0, nel, step):
+            e = slice(e0, e0 + step)
+            T = np.matmul(M6[e], B[e])
+            T *= w[e, :, None, None]
+            _gauss_sum(B[e], T, out=K[e])
+            del T
+        del B       # the largest temporary; the terms below do not need it
         if sv.any():
             _add_geometric(K, pq, sv, state, normal, a_up, Nt, w)
         return K

@@ -366,11 +366,13 @@ class Mesh:
                 if pts.ndim != 2 or pts.shape[1] != 4:
                     raise MeshFormatError(
                         f"{where}: points must be [[x, y, z, w], ...]")
-                patch = Patch(int(pd["degree_u"]), int(pd["degree_v"]),
+                patch = Patch(_whole(pd, "degree_u", where),
+                              _whole(pd, "degree_v", where),
                               np.asarray(pd["knots_u"], dtype=float),
                               np.asarray(pd["knots_v"], dtype=float),
                               pts[:, :3], pts[:, 3])
-                if patch.n_u != int(pd["n_u"]) or patch.n_v != int(pd["n_v"]):
+                if (patch.n_u != _whole(pd, "n_u", where)
+                        or patch.n_v != _whole(pd, "n_v", where)):
                     raise MeshFormatError(
                         f"{where}: n_u/n_v inconsistent with knot vectors")
             except KeyError as exc:
@@ -382,7 +384,10 @@ class Mesh:
                 raise MeshFormatError("mesh JSON 'interfaces' must be a list")
             interfaces = [_read_interface(d, f"interface {k}", len(patches))
                           for k, d in enumerate(interfaces)]
-        return cls(patches, sets=data.get("sets"), interfaces=interfaces)
+        sets = data.get("sets")
+        if sets is not None and not isinstance(sets, dict):
+            raise MeshFormatError("mesh JSON 'sets' must be an object")
+        return cls(patches, sets=sets, interfaces=interfaces)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -398,16 +403,30 @@ class Mesh:
         return cls.from_json_dict(data)
 
 
+def _whole(d, name, where) -> int:
+    """Field ``name`` of the mesh document object d: a number with a whole
+    value, not a string, a boolean or null."""
+    v = d[name]
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not float(v).is_integer()):
+        raise MeshFormatError(f"{where}: {name} must be a whole number, "
+                              f"not {v!r}")
+    return int(v)
+
+
 def _read_interface(d, where, n_patches) -> Interface:
     """One interface of a mesh document, its patches and sides checked."""
     if not isinstance(d, dict):
         raise MeshFormatError(f"{where}: must be an object")
     try:
-        iface = Interface(int(d["patch_a"]), str(d["side_a"]),
-                          int(d["patch_b"]), str(d["side_b"]),
-                          bool(d.get("reversed", False)))
+        iface = Interface(_whole(d, "patch_a", where), str(d["side_a"]),
+                          _whole(d, "patch_b", where), str(d["side_b"]),
+                          d.get("reversed", False))
     except KeyError as exc:
         raise MeshFormatError(f"{where}: missing field {exc}") from exc
+    if not isinstance(iface.reversed, bool):
+        raise MeshFormatError(f"{where}: reversed must be true or false, "
+                              f"not {iface.reversed!r}")
     for patch, side in ((iface.patch_a, iface.side_a),
                         (iface.patch_b, iface.side_b)):
         if not 0 <= patch < n_patches:

@@ -20,11 +20,15 @@ narrow band in their natural order.  Each multiplier, which couples only
 with the displacements along its edge, is factored right after the
 largest free one it couples with (``_band_plan``, planned once per layout
 and set of free DOFs).  The free block is never formed as a matrix of its
-own: the band is filled from the entries of the assembled CSR K, and a
-product K_ff dz is taken as (K @ upd)[free] with upd zero off the free
-DOFs.  That adds each row's terms in the same ascending-column order as a
-mat-vec of the free block; a prescribed column adds a * 0.0, which can
-change only the sign of an exact zero.
+own: the band is filled from the entries of K (``_CSR``), and the LU
+keeps those entries for the products K_ff dz of the refinement.
+
+The solver imports numpy and nothing of SciPy but its LAPACK wrapper
+module, loaded from its file on its own (``_lapack``): no SciPy package
+``__init__`` runs, and ``scipy.linalg`` and ``scipy.sparse`` stay
+unloaded.  K is a ``_CSR`` filled by ``np.bincount`` (``_Layout``);
+only ``Model.assemble``, which nothing on the solve path calls, converts
+it to a ``scipy.sparse.csr_matrix`` for its callers.
 
 One factorization with its scatter, against SuperLU (A^T + A minimum
 degree in symmetric mode, or its defaults for saddle points), at a
@@ -64,17 +68,45 @@ One kernel pass per configuration: ``Model.evaluate`` returns the
 model keeps no configuration.
 """
 
+import importlib.machinery
+import importlib.util
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .constraints import Multiplier, Penalty, RotationConstraint
 from .elements import (EdgeQuadrature, PatchQuadrature, dead_load,
                        follower_edge_moment, follower_pressure, force_pass,
                        point_load)
+
+
+def _lapack():
+    """(dgbtrf, dgbtrs) of SciPy's LAPACK wrapper module, the extension
+    ``scipy/linalg/_flapack`` that ``scipy.linalg.lapack`` re-exports.
+
+    The module is loaded from its file, so no SciPy package ``__init__``
+    runs: SciPy's ``scipy.linalg`` import costs 0.2-0.3 s, most of it in
+    array-API shims, and the wrapper module alone 4-9 ms.  Raises
+    ImportError when SciPy or the module is missing.
+    """
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec else None
+    for folder in folders or []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                mod_spec = importlib.util.spec_from_file_location(
+                    "scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(mod_spec)
+                mod_spec.loader.exec_module(module)
+                return module.dgbtrf, module.dgbtrs
+    raise ImportError("igashell.solver needs SciPy's LAPACK wrapper module "
+                      "scipy/linalg/_flapack")
+
+
+dgbtrf, dgbtrs = _lapack()
 
 
 class NonConvergenceError(RuntimeError):
@@ -110,15 +142,17 @@ class Model:
     order with f_a, f_b, f_q and K_aa, K_aq, K_aq^T, K_bb, K_ab, K_ab^T,
     K_bq, K_bq^T, then the follower loads -- whatever the blocks are.  Each
     residual entry is summed in that order, f_ext with the dead loads
-    first.  K has a fixed CSR pattern,
-    built once per layout with the summation order of SciPy's COO to CSR
-    conversion of the entries in that order (``_csr_pattern``); every
-    assembly adds the entries into it in that order.  So r and K are bit
-    for bit those of one kernel call per patch and per edge converted by
-    ``tocsr``.
+    first, and so is each entry of K: its CSR pattern is built once per
+    layout (``_csr_pattern``), and every tangent fills it by one
+    ``np.bincount`` of the entries in that order, which adds an entry's
+    terms one after the other from 0.  So r and K are bit for bit those of
+    one kernel call per patch and per edge scattered in entry order (by
+    ``np.add.at``), whatever the blocks.
 
     A model holds no configuration: ``evaluate`` runs the kernels at one,
-    and ``assemble`` finishes that at once.
+    and ``assemble`` finishes that at once.  The solver uses SciPy only
+    for LAPACK (module docstring); ``assemble`` alone hands out K as a
+    ``scipy.sparse`` matrix.
     """
 
     def __init__(self, mesh, material):
@@ -212,11 +246,21 @@ class Model:
         return _State(self, x, q)
 
     def assemble(self, x, q, lam: float, tangent: bool = True):
-        """Residual and sparse displacement tangent of the full saddle
-        system: (r, K or None, f_ext), one ``evaluate`` finished at once."""
+        """(r, K, f_ext) of the full saddle system at (x, q, lam): one
+        ``evaluate`` finished at once, with K the displacement tangent as
+        a ``scipy.sparse.csr_matrix`` in canonical form, or None when
+        ``tangent`` is False.  It is for callers outside the solve path
+        (tests, ``verify``), and imports ``scipy.sparse`` only to form K;
+        ``linear_solve`` and ``solve`` use the states directly."""
         state = self.evaluate(x, q)
         r, f_ext = state.residual(lam)
-        return r, (state.tangent(lam)[0] if tangent else None), f_ext
+        if not tangent:
+            return r, None, f_ext
+        import scipy.sparse as sp
+        K = state.tangent(lam)[0]
+        K = sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+        K.has_canonical_format = True
+        return r, K, f_ext
 
 
 class _State:
@@ -228,8 +272,9 @@ class _State:
         self.x, self.q = np.array(x), np.array(q)
         self._model = model
         self._lay = lay = model._current_layout()
-        passes = [_block_pass(block, method, model.material, self.x, self.q)
-                  for block, method in lay.blocks]
+        passes = [_block_pass(block, method, model.material, self.x, self.q,
+                              lay.k_work if b == 0 else None)
+                  for b, (block, method) in enumerate(lay.blocks)]
         f = np.concatenate([passes[b][0][name][e0:e1].ravel()
                             for b, name, e0, e1 in lay.f_plan])
         n = len(lay.f_rows)
@@ -251,10 +296,10 @@ class _State:
         return r, f_ext
 
     def tangent(self, lam, m=None):
-        """(K, predictors): K finishes each penalty block b at the MIP
-        moment field m[b], or at the displacement tangent without one, and
-        predictors holds their moment predictors.  Raises RuntimeError
-        when called again."""
+        """(K, predictors): K, a ``_CSR``, finishes each penalty block b
+        at the MIP moment field m[b], or at the displacement tangent
+        without one, and predictors holds their moment predictors.  Raises
+        RuntimeError when called again."""
         if self._finishers is None:
             raise RuntimeError("this state's tangent was already formed")
         finishers, self._finishers = self._finishers, None
@@ -265,10 +310,14 @@ class _State:
                for b, finish in enumerate(finishers)]
         predictors = {b: o["predict"] for b, o in enumerate(out)
                       if "predict" in o}
-        vals = [(out[b][name][e0:e1].transpose(0, 2, 1) if mirror
-                 else out[b][name][e0:e1]).ravel()
-                for b, name, e0, e1, mirror in lay.k_plan]
-        return lay.fill(np.concatenate(vals)), predictors
+        vals = lay.entries
+        for (b, name, e0, e1, mirror), (start, end) in zip(
+                lay.k_plan[lay.in_place:], lay.k_spans[lay.in_place:]):
+            block = out[b][name][e0:e1]
+            if mirror:
+                block = block.swapaxes(1, 2)
+            vals[start:end].reshape(block.shape)[...] = block
+        return lay.fill(vals), predictors
 
 
 _F_NAMES = ("f_a", "f_b", "f_q")
@@ -283,12 +332,13 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
-def _block_pass(block, method, material, x, q):
+def _block_pass(block, method, material, x, q, work=None):
     """({name: force array}, finish) of one kernel pass on a block, where
     finish(m) returns {name: stiffness array} from what the pass computed.
 
     A patch block (method None) returns its element forces and tangents as
-    f_a and K_aa on DOF table "a", its elements' own DOFs; a constraint
+    f_a and K_aa on DOF table "a", its elements' own DOFs, the tangents
+    written into ``work`` if given; a constraint
     block returns the blocks of its ``penalty_pass`` or ``lm_pass``.  Only
     a penalty block reads the moment field m, and its stiffness also holds
     its moment predictor under "predict".  A follower load's m is the
@@ -297,7 +347,7 @@ def _block_pass(block, method, material, x, q):
     """
     if method is None:
         f_el, finish = force_pass(block, material, x)
-        return {"f_a": f_el}, lambda m: {"K_aa": finish()}
+        return {"f_a": f_el}, lambda m: {"K_aa": finish(work)}
     if method in _LOADS:
         kernel = (follower_pressure if method == "pressure"
                   else follower_edge_moment)
@@ -344,39 +394,38 @@ def _kind(member):
 
 
 def _csr_pattern(rows, cols, n):
-    """CSR pattern (indptr, indices) of the entries (rows, cols) and the
-    0/1 summation matrix S (pattern entries x entries) that sums them into
-    it as SciPy's ``tocsr`` does.
+    """(indptr, indices, slot) of the entries (rows, cols) of an n x n
+    matrix: its CSR pattern, each row's columns ascending and distinct,
+    and the position in it of every entry.  One argsort of the (row, col)
+    keys; slot does not depend on the order of equal keys, and the stable
+    kind is the faster one on keys that come in runs."""
+    key = rows.astype(np.int64) * n + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    slot = np.empty(len(key), dtype=np.intp)
+    slot[order] = np.cumsum(new) - 1
+    key = key[new]
+    indptr = np.zeros(n + 1, dtype=rows.dtype)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return indptr, (key % n).astype(rows.dtype), slot
 
-    ``tocsr`` sorts the entries by row, stably, sorts each row's columns
-    with ``csr_sort_indices``, whose permutation depends on the column
-    indices alone, and adds equal neighbours one after the other.  The
-    same steps on the entry numbers as data give their ``order``; ``slot``
-    numbers the distinct (row, column) pairs.  Row s of S holds the
-    entries of slot s in ``order`` sequence, and SciPy's CSR mat-vec adds
-    each row sequentially from 0, so ``S @ vals`` fills the same bits.
-    """
-    counts = np.bincount(rows, minlength=n)
-    perm = np.argsort(rows, kind="stable")
-    A = sp.csr_matrix((perm.astype(float), cols[perm],
-                       np.concatenate([[0], np.cumsum(counts)])),
-                      shape=(n, n))
-    del perm
-    A.sort_indices()
-    idx_type = A.indices.dtype
-    order = A.data.astype(idx_type)
-    # an entry opens a slot where its row starts or its column changes
-    new = np.ones(len(order), dtype=bool)
-    np.not_equal(A.indices[1:], A.indices[:-1], out=new[1:])
-    new[A.indptr[:-1][counts > 0]] = True
-    slot = np.cumsum(new, dtype=idx_type)
-    ends = A.indptr[1:]
-    indptr = np.zeros(n + 1, dtype=idx_type)
-    indptr[1:] = np.where(ends > 0, slot[ends - 1], 0)
-    starts = np.append(np.flatnonzero(new), len(order)).astype(idx_type)
-    S = sp.csr_matrix((np.ones(len(order)), order, starts),
-                      shape=(len(starts) - 1, len(order)))
-    return indptr, A.indices[new], S
+
+class _CSR:
+    """An n x n sparse matrix in CSR form: ``data`` on the pattern
+    ``indptr``/``indices``, each row's columns ascending and distinct.
+    ``rows`` holds the row of every stored entry, and ``A @ v`` adds each
+    row's terms in column order from 0, as SciPy's CSR mat-vec does."""
+
+    def __init__(self, data, indptr, indices, rows):
+        self.data, self.indptr, self.indices = data, indptr, indices
+        self.rows = rows
+        self.shape = (len(indptr) - 1,) * 2
+
+    def __matmul__(self, v):
+        return np.bincount(self.rows, self.data * v[self.indices],
+                           minlength=self.shape[0])
 
 
 class _Layout:
@@ -390,11 +439,14 @@ class _Layout:
     the Model docstring; ``f_rows`` and ``e_rows`` are the DOF indices of
     the force terms, the follower loads' in ``e_rows`` with their
     magnitudes ``e_mag``.  ``mag`` maps a follower block to its elements'
-    magnitudes.  The stiffness entries fill the CSR pattern
-    ``indptr``/``indices`` through the summation matrix ``S``
+    magnitudes.  The stiffness entries, k_plan item k at
+    ``entries[k_spans[k]]``, fill the CSR pattern ``indptr``/``indices``
     (``_csr_pattern``) of the ``nd`` displacement DOFs and then the
-    multipliers.  Each set of free DOFs gets, once, the band plan that
-    scatters K's free block from K.data and factors it (``_free_maps``).
+    multipliers, entry e at ``slot[e]``; ``rows`` is the row of each stored
+    entry.  The first ``in_place`` items are written in place by block 0's
+    finisher, into its view ``k_work`` of ``entries`` (None otherwise).
+    Each set of free DOFs gets, once, the band plan that scatters K's free
+    block from K.data and factors it (``_free_maps``).
     """
 
     def __init__(self, model):
@@ -457,49 +509,66 @@ class _Layout:
         idx_type = np.int32 if max(self.n, size) < 2**31 else np.int64
         rows = np.empty(size, idx_type)
         cols = np.empty(size, idx_type)
-        end = 0
+        end, self.k_spans = 0, []
         for rdof, cdof in pairs:
             start, end = end, end + rdof.size * cdof.shape[1]
+            self.k_spans.append((start, end))
             shape = (len(rdof), rdof.shape[1], cdof.shape[1])
             rows[start:end].reshape(shape)[...] = rdof[:, :, None]
             cols[start:end].reshape(shape)[...] = cdof[:, None, :]
-        self.indptr, self.indices, self.S = _csr_pattern(rows, cols, self.n)
-        for a in (self.indptr, self.indices):
+        # Every tangent writes its entries into one buffer, so it allocates
+        # nothing on the order of K.  Block 0 holds patch 0; when its
+        # members are the first patches, its element tangents are the
+        # first entries, and its finisher writes them there (``k_work``).
+        self.entries = np.empty(size)
+        first = [k for k, item in enumerate(self.k_plan) if item[0] == 0]
+        self.in_place = len(first) if first == list(range(len(first))) else 0
+        self.k_work = None
+        if self.in_place:
+            block = self.blocks[0][0]
+            shape = (block.nel,) + (block.edof.shape[1],) * 2
+            self.k_work = self.entries[:np.prod(shape)].reshape(shape)
+        self.indptr, self.indices, self.slot = _csr_pattern(rows, cols,
+                                                            self.n)
+        del rows, cols
+        self.rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        for a in (self.indptr, self.indices, self.rows):
             a.flags.writeable = False       # shared by every K
         self._free = (None, None)           # (free mask, band plan)
 
     def fill(self, vals):
-        """K as CSR from its entries in entry order, by one mat-vec."""
-        K = sp.csr_matrix((self.S @ vals, self.indices, self.indptr),
-                          shape=(self.n, self.n))
-        K.has_canonical_format = True
-        return K
+        """K as a ``_CSR`` from its entries in entry order: each stored
+        entry sums its terms in that order from 0 (``np.bincount``)."""
+        return _CSR(np.bincount(self.slot, vals, minlength=len(self.indices)),
+                    self.indptr, self.indices, self.rows)
 
     def _free_maps(self, free):
         """(free mask, band plan) of a set of free DOFs (``_band_plan``),
         built on its first use."""
         if self._free[0] is None or not np.array_equal(self._free[0], free):
             self._free = (free.copy(),
-                          _band_plan(self.indptr, self.indices, free, self.nd))
+                          _band_plan(self.rows, self.indices, free, self.nd))
         return self._free
 
 
-def _band_plan(indptr, indices, free, nd):
-    """(take, perm, kl, ku, pos): how the free block K[free][:, free] of a
-    K with CSR pattern (indptr, indices) and nd displacement DOFs is
-    factored in band storage.
+def _band_plan(rows, indices, free, nd):
+    """(take, perm, kl, ku, pos, rows, cols): how the free block
+    K[free][:, free] of a K in CSR form, whose stored entries lie in rows
+    ``rows`` and columns ``indices``, with nd displacement DOFs is factored
+    in band storage.
 
     ``take`` lists the entries of K.data that couple two free DOFs, in CSR
-    order.  Row and column k of the factored matrix are free DOF perm[k]:
-    the free displacements in natural order, each multiplier right after
-    the largest one it couples with in the symmetric pattern, and last
-    those that couple with none (a singular tangent).  kl and ku are the
-    band's sub- and super-diagonals, and entry K.data[take[e]] lands at
-    flat index pos[e] of the Fortran-ordered band array, whose leading
+    order; the returned rows and cols are their row and column among the
+    free DOFs.
+    Row and column k of the factored matrix are free DOF perm[k]: the free
+    displacements in natural order, each multiplier right after the
+    largest one it couples with in the symmetric pattern, and last those
+    that couple with none (a singular tangent).  kl and ku are the band's
+    sub- and super-diagonals, and entry K.data[take[e]] lands at flat
+    index pos[e] of the Fortran-ordered band array, whose leading
     dimension is 2 kl + ku + 1 (LAPACK ``dgbtrf`` storage, with kl rows
     above the band for the pivots' fill).
     """
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     take = np.flatnonzero(free[rows] & free[indices])
     renum = np.cumsum(free) - 1
     rows, cols = renum[rows[take]], renum[indices[take]]
@@ -515,19 +584,22 @@ def _band_plan(indptr, indices, free, nd):
     inv[perm] = np.arange(n)
     i, j = inv[rows], inv[cols]
     kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
-    return take, perm, kl, ku, kl + ku + i - j + (2 * kl + ku + 1) * j
+    return (take, perm, kl, ku, kl + ku + i - j + (2 * kl + ku + 1) * j,
+            rows, cols)
 
 
 class _BandLU:
-    """LU factors with partial pivoting of the free tangent of K in band
-    storage, scattered from K.data by a ``_band_plan``; ``solve(b)`` solves
-    with them in the order of the free DOFs."""
+    """LU factors with partial pivoting of the free tangent K_ff of K in
+    band storage, scattered from K.data by a ``_band_plan``.  ``solve(b)``
+    solves with them and ``product(dz)`` forms K_ff dz, both in the order
+    of the free DOFs."""
 
     def __init__(self, plan, data):
-        take, self.perm, self.kl, self.ku, pos = plan
+        take, self.perm, self.kl, self.ku, pos, self._rows, self._cols = plan
         n = len(self.perm)
+        self._vals = data[take]
         band = np.zeros(n * (2 * self.kl + self.ku + 1))
-        band[pos] = data[take]
+        band[pos] = self._vals
         self.lu, self.piv, info = dgbtrf(band.reshape(n, -1).T, self.kl,
                                          self.ku, overwrite_ab=1)
         if info < 0:
@@ -542,6 +614,14 @@ class _BandLU:
         x = np.empty_like(y)
         x[self.perm] = y
         return x
+
+    def product(self, dz):
+        """K_ff dz of the factored matrix, each row's terms added in
+        column order from 0: (K @ upd)[free] for upd zero off the free
+        DOFs, but for the sign of an exact zero (a prescribed column adds
+        a * 0.0 there)."""
+        return np.bincount(self._rows, self._vals * dz[self._cols],
+                           minlength=len(self.perm))
 
 
 def _factorize(model, K, free):
@@ -560,7 +640,7 @@ def linear_solve(model: Model):
     The stiffness and loads are evaluated on the undeformed geometry, which
     is the small-deflection solution the classical linear shell benchmarks
     tabulate; iterating to nonlinear equilibrium would change the answer.
-    K is the displacement tangent of one ``assemble`` at x = X.  There a
+    K is the displacement tangent of the state at x = X.  There a
     strain-based law carries no stress, so ``force_pass`` skips the
     geometric stiffness and K is the material part alone.  The free
     tangent is factored straight from K by ``_factorize``.  Returns
@@ -578,17 +658,20 @@ def linear_solve(model: Model):
     nq, _ = model.multiplier_layout()
     free = ~np.concatenate([model._presc_mask, np.zeros(nq, dtype=bool)])
 
-    r, K, _ = model.assemble(mesh.node_coords, np.zeros(nq), 1.0)
+    state = model.evaluate(mesh.node_coords, np.zeros(nq))
+    r, _ = state.residual(1.0)
+    K, _ = state.tangent(1.0)
     z = np.zeros(nd + nq)
     z[:nd][model._presc_mask] = model._presc_value[model._presc_mask]
-    rhs = -(r + K @ z)[free]
+    if z.any():         # K z adds nothing when no prescribed value is set
+        r = r + K @ z
+    rhs = -r[free]
     try:
-        dz = _factorize(model, K, free).solve(rhs)
+        lu = _factorize(model, K, free)
+        dz = lu.solve(rhs)
     except RuntimeError as exc:
         raise NonConvergenceError(f"linear solve failed: {exc}") from exc
-    upd = np.zeros(nd + nq)
-    upd[free] = dz
-    res, ref = np.linalg.norm(rhs - (K @ upd)[free]), np.linalg.norm(rhs)
+    res, ref = np.linalg.norm(rhs - lu.product(dz)), np.linalg.norm(rhs)
     if not res <= LINEAR_RESIDUAL * ref:
         raise NonConvergenceError(
             f"linear solve failed: |rhs - K dz| = {res:.3g} for |rhs| = "
@@ -756,11 +839,11 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose,
         upd = np.zeros(len(r))
         try:
             lu = _factorize(model, K, free)
-            upd[free] = lu.solve(-rf)
+            dz = lu.solve(-rf)
             # one round of iterative refinement; penalty-dominated tangents
             # are ill-conditioned enough for the raw LU direction to carry
             # constraint-violating noise
-            upd[free] += lu.solve(-rf - (K @ upd)[free])
+            upd[free] = dz + lu.solve(-rf - lu.product(dz))
         except RuntimeError:
             return None, it, rnorm, None
         if not np.all(np.isfinite(upd)):

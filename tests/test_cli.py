@@ -64,6 +64,38 @@ def test_run_malformed_mesh_file_exits_2(tmp_path, capsys):
     assert "config error:" in err and "patch 5 does not exist" in err
 
 
+ONE_INTERFACE = {"patch_a": 0, "side_a": "u1", "patch_b": 0,
+                 "side_b": "u0"}
+
+
+@pytest.mark.parametrize("mutate, says", [
+    (lambda b: b.update(sets=[1, 2]), "'sets' must be an object"),
+    (lambda b: b["patches"][0].update(n_u=None), "n_u must be a whole"),
+    (lambda b: b["patches"][0].update(degree_u="2"),
+     "degree_u must be a whole"),
+    (lambda b: b["patches"][0].update(n_v=2.5), "n_v must be a whole"),
+    (lambda b: b.update(interfaces=[dict(ONE_INTERFACE, patch_b=None)]),
+     "patch_b must be a whole"),
+    (lambda b: b.update(interfaces=[dict(ONE_INTERFACE, reversed="no")]),
+     "reversed must be true or false"),
+], ids=["sets_not_an_object", "null_n_u", "string_degree_u",
+        "fractional_n_v", "null_patch_b", "string_reversed"])
+def test_run_mesh_file_with_a_mistyped_field_exits_2(tmp_path, capsys,
+                                                     mutate, says):
+    """A mesh file field of the wrong JSON type is a config error, not a
+    traceback or a silent conversion."""
+    blob = Mesh([make_plate(1.0, 1.0, 2, 2, 2)]).to_json_dict()
+    mutate(blob)
+    (tmp_path / "mesh.json").write_text(json.dumps(blob))
+    doc = json.loads(json.dumps(TINY_RUN))
+    doc["mesh"] = {"type": "file", "path": "mesh.json"}
+    rc = main(["run", "--config", _write(tmp_path, doc), "--out",
+               str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and says in err
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["run", "--config", _write(tmp_path, TINY_RUN),

@@ -386,7 +386,9 @@ def test_stressed_tangent_keeps_its_geometric_terms(monkeypatch):
 def reference_assemble(model, x, q, lam, tangent):
     """One kernel call per patch and per edge, scattered in entry order:
     patches, then per constraint f_a, f_b, f_q and K_aa, K_aq, K_aq^T, K_bb,
-    K_ab, K_ab^T, K_bq, K_bq^T, then the follower loads."""
+    K_ab, K_ab^T, K_bq, K_bq^T, then the follower loads.  Every entry of r
+    and K is summed by ``np.add.at`` in that order; K comes as CSR on the
+    pattern of its distinct (row, column) pairs."""
     nd = model.mesh.n_dofs
     nq, offsets = model.multiplier_layout()
     r = np.zeros(nd + nq)
@@ -439,8 +441,14 @@ def reference_assemble(model, x, q, lam, tangent):
     cols = np.concatenate([np.tile(cdof, (1, Ke.shape[1])).ravel()
                            for _, cdof, Ke in trips])
     vals = np.concatenate([Ke.ravel() for _, _, Ke in trips])
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(nd + nq, nd + nq))
-    return r, K.tocsr()
+    # each entry of K sums its terms in entry order, from 0
+    n = nd + nq
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), vals)
+    key = np.unique(rows.astype(np.int64) * n + cols)
+    indptr = np.searchsorted(key // n, np.arange(n + 1))
+    return r, sp.csr_matrix((dense[key // n, key % n], key % n, indptr),
+                            shape=(n, n))
 
 
 def assert_assembly_is_reference(model, seed=5, lam=0.7):
@@ -554,7 +562,8 @@ def test_stacked_assembly_many_blocks():
 def assert_free_block(model, K, free):
     """The band array that the plan of (layout, free) scatters from K.data
     is K[free][:, free] in perm order, bit for bit, with zeros elsewhere."""
-    take, perm, kl, ku, pos = model._current_layout()._free_maps(free)[1]
+    take, perm, kl, ku, pos, rows, cols = \
+        model._current_layout()._free_maps(free)[1]
     n, ld = len(perm), 2 * kl + ku + 1
     band = np.zeros(n * ld)
     band[pos] = K.data[take]
@@ -564,7 +573,11 @@ def assert_free_block(model, K, free):
     inside = (i - j <= kl) & (j - i <= ku)
     got = np.zeros((n, n))
     got[inside] = band[(kl + ku + i - j)[inside], j[inside]]
-    want = K[free][:, free].toarray()[np.ix_(perm, perm)]
+    want = K[free][:, free].toarray()
+    assert got.tobytes() == want[np.ix_(perm, perm)].tobytes()
+    # rows and cols place each taken entry in the free block
+    got = np.zeros((n, n))
+    got[rows, cols] = K.data[take]
     assert got.tobytes() == want.tobytes()
 
 
@@ -678,8 +691,8 @@ def test_one_factor_path_for_penalty_and_saddle_systems(monkeypatch, method):
     for K, lu in calls:
         assert type(lu) is solver_mod._BandLU
         assert lu.perm is calls[0][1].perm
-        if nq:
-            assert not K.diagonal()[-nq:].any()
+        diagonal = K.indices == K.rows
+        assert not K.data[diagonal & (K.rows >= model.mesh.n_dofs)].any()
 
 
 def test_every_tangent_is_factorized(monkeypatch):
@@ -737,18 +750,26 @@ def test_band_solve_matches_dense_solve(build):
     follower_cantilever,
 ], ids=["penalty_strip", "multiplier_strip", "follower_load"])
 def test_full_mat_vec_is_the_free_block_mat_vec(build):
-    """Newton's and linear_solve's product (K @ upd)[free], with upd zero
-    off the free DOFs, is the free block's product K[free][:, free] @ dz
-    exactly: CSR and CSC mat-vecs add a row's terms in the same order."""
+    """A state's K @ v is SciPy's CSR mat-vec of K bit for bit, and the
+    LU's product K_ff dz, which Newton's refinement and linear_solve's
+    residual use, is the free block's product K[free][:, free] @ dz and
+    (K @ upd)[free] with upd zero off the free DOFs: each adds a row's
+    terms in the same order."""
     model = build()
-    _, K, _ = model.assemble(*perturbed_state(model), 0.7)
+    K, _ = model.evaluate(*perturbed_state(model)).tangent(0.7)
+    K_sp = sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(K.shape[0])
+    assert (K @ v).tobytes() == (K_sp @ v).tobytes()
     free = free_dofs(model)
     assert not free.all()
-    dz = np.random.default_rng(5).standard_normal(np.count_nonzero(free))
+    dz = rng.standard_normal(np.count_nonzero(free))
     upd = np.zeros(K.shape[0])
     upd[free] = dz
-    assert np.array_equal((K @ upd)[free], K[free][:, free] @ dz)
-    assert np.array_equal((K @ upd)[free], K[free][:, free].tocsc() @ dz)
+    got = solver_mod._factorize(model, K, free).product(dz)
+    assert np.array_equal(got, (K @ upd)[free])
+    assert np.array_equal(got, K_sp[free][:, free] @ dz)
+    assert np.array_equal(got, K_sp[free][:, free].tocsc() @ dz)
 
 
 def band_plan(model):
@@ -767,15 +788,15 @@ def test_band_plan_interleaves_the_multipliers():
     patch after patch on a chain; each multiplier comes right after the
     largest free displacement DOF it couples with."""
     hemisphere = build_hemisphere_hole(2, 8)
-    _, perm, kl, ku, _ = band_plan(hemisphere)
+    _, perm, kl, ku, *_ = band_plan(hemisphere)
     assert np.array_equal(perm, np.arange(len(perm)))
     assert kl == ku == natural_bandwidth(hemisphere) == 64
     penalty_strip = build_bending_folded(2, 2, ("penalty", 1e4))[0]
-    _, perm, _, _, _ = band_plan(penalty_strip)
+    _, perm, *_ = band_plan(penalty_strip)
     assert np.array_equal(perm, np.arange(len(perm)))
 
     strip = build_bending_folded(2, 2, ("lm", "n2q0"))[0]
-    _, perm, kl, ku, _ = band_plan(strip)
+    _, perm, kl, ku, *_ = band_plan(strip)
     assert (kl, ku, natural_bandwidth(strip)) == (63, 63, 291)
     free = free_dofs(strip)
     nu = np.count_nonzero(free[:strip.mesh.n_dofs])
@@ -792,20 +813,68 @@ def test_band_plan_interleaves_the_multipliers():
     assert np.array_equal(before[inv[nu:]], anchor[nu:])
 
     pinch = build_cylinder_pinch_nl(2, 16)[0]
-    _, _, kl, ku, _ = band_plan(pinch)
+    _, _, kl, ku, *_ = band_plan(pinch)
     assert kl == ku == 128
 
 
 def test_solver_and_cli_do_not_load_csgraph():
-    """The band order needs no graph algorithm: importing the solver and
-    the CLI leaves scipy.sparse.csgraph unloaded."""
+    """The solver loads SciPy's LAPACK wrapper module alone: importing the
+    solver, the CLI and the benchmarks leaves scipy.sparse (csgraph
+    included), scipy.linalg and SciPy's array-API shims unloaded."""
     src = str(Path(solver_mod.__file__).parents[1])
+    names = ["scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg",
+             "scipy._lib._array_api"]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import igashell.solver, igashell.cli; "
-            "print('scipy.sparse.csgraph' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["False"]
+            "import igashell.solver, igashell.cli, igashell.benchmarks; "
+            "print(*[name in sys.modules for name in sys.argv[2:]])")
+    out = subprocess.run([sys.executable, "-c", code, src, *names],
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False"] * len(names)
+
+
+def test_missing_lapack_module_raises_import_error(monkeypatch):
+    monkeypatch.setattr(solver_mod.importlib.util, "find_spec",
+                        lambda name: None)
+    with pytest.raises(ImportError, match="_flapack"):
+        solver_mod._lapack()
+
+
+def random_band(n=40, kl=4, ku=6):
+    """(band, kl, ku): a random band matrix in ``dgbtrf`` storage."""
+    rng = np.random.default_rng(11)
+    band = np.zeros((2 * kl + ku + 1, n), order="F")
+    band[kl:] = rng.standard_normal((kl + ku + 1, n))
+    return band, kl, ku
+
+
+def strip_band():
+    """(band, kl, ku): the multiplier strip's free tangent in ``dgbtrf``
+    storage, scattered by its band plan."""
+    model = build_bending_folded(2, 2, ("lm", "n2q0"))[0]
+    K, _ = model.evaluate(*perturbed_state(model)).tangent(0.7)
+    take, perm, kl, ku, pos, *_ = band_plan(model)
+    band = np.zeros(len(perm) * (2 * kl + ku + 1))
+    band[pos] = K.data[take]
+    return band.reshape(len(perm), -1).T, kl, ku
+
+
+@pytest.mark.parametrize("build", [random_band, strip_band],
+                         ids=["random_band", "multiplier_strip"])
+def test_loaded_lapack_is_scipy_lapack(build):
+    """The solver's dgbtrf and dgbtrs, loaded from SciPy's wrapper module
+    on their own, give the LU, the pivots and the solution of
+    scipy.linalg.lapack's bit for bit."""
+    from scipy.linalg import lapack
+    band, kl, ku = build()
+    b = np.random.default_rng(2).standard_normal(band.shape[1])
+    got = []
+    for trf, trs in ((solver_mod.dgbtrf, solver_mod.dgbtrs),
+                     (lapack.dgbtrf, lapack.dgbtrs)):
+        lu, piv, info = trf(np.array(band, order="F"), kl, ku)
+        x, info_s = trs(lu, kl, ku, b.copy(), piv)
+        assert info == info_s == 0
+        got.append([lu.tobytes(), piv.tobytes(), x.tobytes()])
+    assert got[0] == got[1]
 
 
 def test_singular_tangent_raises_and_newton_cuts_the_step(monkeypatch):
