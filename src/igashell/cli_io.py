@@ -348,11 +348,6 @@ class RunConfig:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-
 
 # -- model construction ----------------------------------------------------
 
@@ -530,14 +525,14 @@ def build_field_output(mesh, x_nodes, material, samples_per_element=2):
         x, a_cur, h_cur = surface_derivatives(*tables, x_nodes[nodes])
         ref, _ = surface_vectors_state(a_ref, h_ref)
         cur, _ = surface_vectors_state(a_cur, h_cur)
-        tau, M0 = material.stress(ref, cur)
+        sv = material.stress_voigt(ref, cur)
         pts.append(x)
         cells.append(quads + offset)
         disp.append(x - X)
         Hs.append(cur.H)
         ks.append(cur.kappa)
-        taus.append(np.stack([tau[:, 0, 0], tau[:, 1, 1], tau[:, 0, 1]], 1))
-        moms.append(np.stack([M0[:, 0, 0], M0[:, 1, 1], M0[:, 0, 1]], 1))
+        taus.append(sv[:, :3])
+        moms.append(sv[:, 3:])
         offset += len(params)
     return FieldOutput(np.vstack(pts), np.vstack(cells), np.vstack(disp),
                        np.concatenate(Hs), np.concatenate(ks),

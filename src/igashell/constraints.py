@@ -172,32 +172,29 @@ class RotationConstraint:
                 raise ValueError(
                     f"edge quadrature points do not coincide (gap {gap:.3e}); "
                     "interface is not conforming or flip_b is wrong")
-            ref_nt = self.eq_b.ref_normal
         else:
             self.eq_b = None
             if fixed_normal is None:
                 # clamped edge: the mate is the frozen reference normal field
-                ref_nt = self.eq_a.ref_normal.copy()
+                self.fixed_nt = self.eq_a.ref_normal.copy()
             else:
                 v = np.asarray(fixed_normal, dtype=float)
                 v = v / np.linalg.norm(v)
-                ref_nt = np.broadcast_to(v, self.eq_a.X.shape).copy()
-            self.fixed_nt = ref_nt
+                self.fixed_nt = np.broadcast_to(v, self.eq_a.X.shape).copy()
 
         if np.any(self.eq_a.jac0 <= 1e-12 * scale):
             raise ValueError("degenerate edge tangent along constrained edge")
-        tau0 = self.eq_a.ref_tangent_vec / self.eq_a.jac0[..., None]
+        self._min_len = 1e-12 * scale
         if alpha0 is None:
-            # the forms of _EdgeGeometry, so x = X is at rest bit for bit
-            self.c0 = dot3(self.eq_a.ref_normal, ref_nt)
-            self.s0 = dot3(cross3(self.eq_a.ref_normal, ref_nt), tau0)
+            # the reference geometry, so x = X is at rest bit for bit
+            g = self._geometry(mesh.node_coords)
+            self.c0, self.s0 = g.cosa, g.sina
         else:
             self.c0 = np.full((self.nel, self.ngp), np.cos(alpha0))
             self.s0 = np.full((self.nel, self.ngp), np.sin(alpha0))
         self.wS = self.eq_a.wq * self.eq_a.jac0
         self.edof_a = self.eq_a.edof
         self.edof_b = self.eq_b.edof if self.two_sided else None
-        self._min_len = 1e-12 * scale
         # multiplier shape functions at the edge Gauss points and their
         # element connectivity, per interpolation scheme
         tg, _ = gauss_01(self.ngp)
@@ -302,29 +299,31 @@ class RotationConstraint:
     # fields (penalty: eps*c0, eps*s0; multiplier: q(s0+c0), q(s0-c0))
 
     def _point_terms(self, g: _EdgeGeometry, cc, ss):
-        """(dta, Mth, dab): the per-point vectors of the force kernel.
+        """(dta, Mth, dab, theta, dt, dd): the per-point vectors of the
+        force kernel, then the ones they are formed from, which the
+        tangent kernel also reads.
 
         The kernel's variation -(cc dC + ss dS) at one point is, for a
         variation dx of the nodes, dta . (n . da) - Mth . da_xi + dab .
         (nt . db), with da (db) the variations of the side-a (side-b)
-        tangent vectors and da_xi the running one; dab is None on a
-        one-sided edge.
+        tangent vectors and da_xi the running one; dab and dd are None on
+        a one-sided edge.
         """
         theta = ss[..., None] * g.nxnt
         Mth = (theta - g.tau * dot3(g.tau, theta)[..., None]) / g.alen[..., None]
         dt = cc[..., None] * g.nt + ss[..., None] * g.nut
         dta = dot3(g.aup_a, dt[:, :, None, :])
-        dab = None
+        dab = dd = None
         if self.two_sided:
             nu = cross3(g.tau, g.n)
             dd = cc[..., None] * g.n + ss[..., None] * nu
             dab = dot3(g.aup_b, dd[:, :, None, :])
-        return dta, Mth, dab
+        return dta, Mth, dab, theta, dt, dd
 
     def _force_kernel(self, g: _EdgeGeometry, cc, ss):
         dNa = self.eq_a.dN
         dXi = dNa[..., self.eq_a.xi_dir]
-        dta, Mth, dab = self._point_terms(g, cc, ss)
+        dta, Mth, dab, *_ = self._point_terms(g, cc, ss)
         # f_a[n, i] = sum_g wS ((dN dta)[n] n_i - dXi[n] Mth_i): one matmul
         # with the Gauss sum inner per term
         f_a = (_point_sum(_surface_sum(dNa, dta), g.n, self.wS)
@@ -342,7 +341,8 @@ class RotationConstraint:
         = (S, -C) / rho^2, which make -(cc dC + ss dS) = (C dS - S dC) /
         rho^2 = dalpha, contracted with du before any Gauss sum."""
         rho2 = g.cosa ** 2 + g.sina ** 2
-        dta, Mth, dab = self._point_terms(g, g.sina / rho2, -g.cosa / rho2)
+        dta, Mth, dab, *_ = self._point_terms(g, g.sina / rho2,
+                                              -g.cosa / rho2)
         da = _at_points(self.eq_a.dN, du_nodes[self.eq_a.conn])
         rate = (np.sum(dta * dot3(g.n[:, :, None, :], da), axis=-1)
                 - dot3(Mth, da[:, :, self.eq_a.xi_dir]))
@@ -384,9 +384,7 @@ class RotationConstraint:
         w4 = wS[..., None, None]
         eye = np.eye(3)
 
-        theta = ss[..., None] * g.nxnt
-        dt = cc[..., None] * nt + ss[..., None] * g.nut
-        dta = dot3(g.aup_a, dt[:, :, None, :])
+        dta, _, dab, theta, dt, dd = self._point_terms(g, cc, ss)
         dtn = dot3(dt, n)
 
         # cross variation of tau with the edge normal, explicit s0 weight
@@ -412,9 +410,6 @@ class RotationConstraint:
             return K_aa, None, None
 
         dNb = self.eq_b.dN
-        nu = cross3(tau, n)
-        dd = cc[..., None] * n + ss[..., None] * nu
-        dab = dot3(g.aup_b, dd[:, :, None, :])
         dnt = dot3(dd, nt)
         Cb = _normal_kron(nt, np.matmul(dNb, g.aup_b) * w4,
                           _surface_sum(dNb, dab))

@@ -118,12 +118,11 @@ class _Tables:
 
     def _build(self, patch, node_ids, node_coords, u, v, wq):
         """Tabulate ``patch.basis2d`` at (u, v), whose leading axes run over
-        the elements, with the weights wq (nel, ngp); returns the reference
-        tangents A_a (nel, ngp, 2, 3).  ``node_ids`` maps the control points
-        to rows of the reference node coordinates ``node_coords``, from
-        which the reference geometry is computed as every current state is;
-        so x = X is the reference state bit for bit, also where coincident
-        control points merge into one node.
+        the elements, with the weights wq (nel, ngp).  ``node_ids`` maps
+        the control points to rows of the reference node coordinates
+        ``node_coords``, from which the reference geometry is computed as
+        every current state is; so x = X is the reference state bit for
+        bit, also where coincident control points merge into one node.
         """
         idx, N, dN, d2N = patch.basis2d(u, v)
         k, nel = idx.ndim - 1, len(wq)
@@ -142,7 +141,6 @@ class _Tables:
             A_vec, _at_points(self.d2N, Xe))
         self.jac0 = (self.ref_state.jac if self.xi_dir is None else
                      np.linalg.norm(A_vec[:, :, self.xi_dir], axis=-1))
-        return A_vec
 
     def first_order(self, x_nodes: np.ndarray):
         """(a_con, jac, normal, a_vec, a_up) at every quadrature point, bit
@@ -192,10 +190,10 @@ class EdgeQuadrature(_Tables):
     """The tables of one side of a patch, on p + 1 Gauss points per element
     along it (or ``n_gauss``), with the full 2D element basis.
 
-    The running parameter ``xi_dir`` is u for sides v0/v1 and v for u0/u1,
-    and ``ref_tangent_vec`` the reference tangent along it.  ``reverse``
-    lays the points out in reversed element and Gauss order, running against
-    the edge parameter, as the mate side of a reversed interface needs.
+    The running parameter ``xi_dir`` is u for sides v0/v1 and v for u0/u1.
+    ``reverse`` lays the points out in reversed element and Gauss order,
+    running against the edge parameter, as the mate side of a reversed
+    interface needs.
     """
 
     SHARED = ("xi_dir",)
@@ -213,10 +211,9 @@ class EdgeQuadrature(_Tables):
             els, tg, wg = els[::-1], tg[::-1], wg[::-1]
         s = run.breaks[els, None] + tg[None, :] * run.h[els, None]
         fixed = fix.breaks[-1 if side.endswith("1") else 0]
-        A_vec = self._build(patch, node_ids, node_coords,
-                            *((s, fixed) if along_u else (fixed, s)),
-                            wg[None, :] * run.h[els, None])
-        self.ref_tangent_vec = A_vec[:, :, self.xi_dir, :]
+        self._build(patch, node_ids, node_coords,
+                    *((s, fixed) if along_u else (fixed, s)),
+                    wg[None, :] * run.h[els, None])
 
 
 def _b_operators(pq, normal, a_vec, gamma):

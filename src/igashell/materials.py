@@ -75,23 +75,13 @@ class ShellMaterial:
         return self.energy(ref, metric_state(cur.a_cov + da, cur.b_cov + db))
 
     def stress_voigt(self, ref, cur):
+        """(tau, M0) as (..., 6) in Voigt order (11, 22, 12) each."""
         tau, M0 = self.stress(ref, cur)
-        return _pack_stress(tau, M0)
+        return np.concatenate([to_voigt(tau), to_voigt(M0)], -1)
 
     def moduli_voigt(self, ref, cur):
         """(C, D, E4, F), each (..., 3, 3) in raw Voigt order."""
         raise NotImplementedError
-
-
-def _pack_stress(tau, M0):
-    out = np.empty(tau.shape[:-2] + (6,))
-    out[..., 0] = tau[..., 0, 0]
-    out[..., 1] = tau[..., 1, 1]
-    out[..., 2] = tau[..., 0, 1]
-    out[..., 3] = M0[..., 0, 0]
-    out[..., 4] = M0[..., 1, 1]
-    out[..., 5] = M0[..., 0, 1]
-    return out
 
 
 class KoiterMaterial(ShellMaterial):

@@ -21,14 +21,13 @@ with the displacements along its edge, is factored right after the
 largest free one it couples with (``_band_plan``, planned once per layout
 and set of free DOFs).  The free block is never formed as a matrix of its
 own: the band is filled from the entries of K (``_CSR``), and the LU
-keeps those entries for the products K_ff dz of the refinement.
+keeps those entries, as a ``_CSR`` of the free block, for the products
+K_ff dz of the refinement.
 
 The solver imports numpy and nothing of SciPy but its LAPACK wrapper
 module, loaded from its file on its own (``_lapack``): no SciPy package
-``__init__`` runs, and ``scipy.linalg`` and ``scipy.sparse`` stay
-unloaded.  K is a ``_CSR`` filled by ``np.bincount`` (``_Layout``);
-only ``Model.assemble``, which nothing on the solve path calls, converts
-it to a ``scipy.sparse.csr_matrix`` for its callers.
+``__init__`` runs.  K is a ``_CSR`` filled by ``np.bincount``
+(``_Layout``).
 
 One factorization with its scatter, against SuperLU (A^T + A minimum
 degree in symmetric mode, or its defaults for saddle points), at a
@@ -150,9 +149,7 @@ class Model:
     ``np.add.at``), whatever the blocks.
 
     A model holds no configuration: ``evaluate`` runs the kernels at one,
-    and ``assemble`` finishes that at once.  The solver uses SciPy only
-    for LAPACK (module docstring); ``assemble`` alone hands out K as a
-    ``scipy.sparse`` matrix.
+    and ``assemble`` finishes that at once.
     """
 
     def __init__(self, mesh, material):
@@ -248,19 +245,10 @@ class Model:
     def assemble(self, x, q, lam: float, tangent: bool = True):
         """(r, K, f_ext) of the full saddle system at (x, q, lam): one
         ``evaluate`` finished at once, with K the displacement tangent as
-        a ``scipy.sparse.csr_matrix`` in canonical form, or None when
-        ``tangent`` is False.  It is for callers outside the solve path
-        (tests, ``verify``), and imports ``scipy.sparse`` only to form K;
-        ``linear_solve`` and ``solve`` use the states directly."""
+        a ``_CSR``, or None when ``tangent`` is False."""
         state = self.evaluate(x, q)
         r, f_ext = state.residual(lam)
-        if not tangent:
-            return r, None, f_ext
-        import scipy.sparse as sp
-        K = state.tangent(lam)[0]
-        K = sp.csr_matrix((K.data, K.indices, K.indptr), shape=K.shape)
-        K.has_canonical_format = True
-        return r, K, f_ext
+        return r, state.tangent(lam)[0] if tangent else None, f_ext
 
 
 class _State:
@@ -427,6 +415,11 @@ class _CSR:
         return np.bincount(self.rows, self.data * v[self.indices],
                            minlength=self.shape[0])
 
+    def toarray(self):
+        A = np.zeros(self.shape)
+        A[self.rows, self.indices] = self.data
+        return A
+
 
 class _Layout:
     """The kernel blocks of a Model and the plan that scatters their output.
@@ -552,14 +545,15 @@ class _Layout:
 
 
 def _band_plan(rows, indices, free, nd):
-    """(take, perm, kl, ku, pos, rows, cols): how the free block
+    """(take, perm, kl, ku, pos, pattern): how the free block
     K[free][:, free] of a K in CSR form, whose stored entries lie in rows
     ``rows`` and columns ``indices``, with nd displacement DOFs is factored
     in band storage.
 
     ``take`` lists the entries of K.data that couple two free DOFs, in CSR
-    order; the returned rows and cols are their row and column among the
-    free DOFs.
+    order, and pattern = (indptr, cols, rows) is the free block's CSR
+    pattern with them as its data: cols and rows are their column and row
+    among the free DOFs.
     Row and column k of the factored matrix are free DOF perm[k]: the free
     displacements in natural order, each multiplier right after the
     largest one it couples with in the symmetric pattern, and last those
@@ -584,22 +578,26 @@ def _band_plan(rows, indices, free, nd):
     inv[perm] = np.arange(n)
     i, j = inv[rows], inv[cols]
     kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return (take, perm, kl, ku, kl + ku + i - j + (2 * kl + ku + 1) * j,
-            rows, cols)
+            (indptr, cols, rows))
 
 
 class _BandLU:
     """LU factors with partial pivoting of the free tangent K_ff of K in
     band storage, scattered from K.data by a ``_band_plan``.  ``solve(b)``
-    solves with them and ``product(dz)`` forms K_ff dz, both in the order
-    of the free DOFs."""
+    solves with them, and ``K_ff`` is the factored matrix as a ``_CSR``,
+    both in the order of the free DOFs: ``K_ff @ dz`` is (K @ upd)[free]
+    for upd zero off the free DOFs, but for the sign of an exact zero (a
+    prescribed column adds a * 0.0 there)."""
 
     def __init__(self, plan, data):
-        take, self.perm, self.kl, self.ku, pos, self._rows, self._cols = plan
+        take, self.perm, self.kl, self.ku, pos, pattern = plan
         n = len(self.perm)
-        self._vals = data[take]
+        self.K_ff = _CSR(data[take], *pattern)
         band = np.zeros(n * (2 * self.kl + self.ku + 1))
-        band[pos] = self._vals
+        band[pos] = self.K_ff.data
         self.lu, self.piv, info = dgbtrf(band.reshape(n, -1).T, self.kl,
                                          self.ku, overwrite_ab=1)
         if info < 0:
@@ -614,14 +612,6 @@ class _BandLU:
         x = np.empty_like(y)
         x[self.perm] = y
         return x
-
-    def product(self, dz):
-        """K_ff dz of the factored matrix, each row's terms added in
-        column order from 0: (K @ upd)[free] for upd zero off the free
-        DOFs, but for the sign of an exact zero (a prescribed column adds
-        a * 0.0 there)."""
-        return np.bincount(self._rows, self._vals * dz[self._cols],
-                           minlength=len(self.perm))
 
 
 def _factorize(model, K, free):
@@ -671,7 +661,7 @@ def linear_solve(model: Model):
         dz = lu.solve(rhs)
     except RuntimeError as exc:
         raise NonConvergenceError(f"linear solve failed: {exc}") from exc
-    res, ref = np.linalg.norm(rhs - lu.product(dz)), np.linalg.norm(rhs)
+    res, ref = np.linalg.norm(rhs - lu.K_ff @ dz), np.linalg.norm(rhs)
     if not res <= LINEAR_RESIDUAL * ref:
         raise NonConvergenceError(
             f"linear solve failed: |rhs - K dz| = {res:.3g} for |rhs| = "
@@ -843,7 +833,7 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose,
             # one round of iterative refinement; penalty-dominated tangents
             # are ill-conditioned enough for the raw LU direction to carry
             # constraint-violating noise
-            upd[free] = dz + lu.solve(-rf - lu.product(dz))
+            upd[free] = dz + lu.solve(-rf - lu.K_ff @ dz)
         except RuntimeError:
             return None, it, rnorm, None
         if not np.all(np.isfinite(upd)):
@@ -866,9 +856,9 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose,
                     # the excursion blew up or ran out: back to its entry
                     x[:], q[:], rnorm = saved
                 return ("floor" if rnorm <= floor else None), it, rnorm, None
-        x[:], q[:] = state.x, state.q
-        if r_full <= tol:
-            return "trial", it, r_full, state
+        x[:], q[:], rnorm = state.x, state.q, r_full
+        if rnorm <= tol:
+            return "trial", it, rnorm, state
         # an update at round-off level cannot reduce the residual further
         if np.abs(upd[:nd]).max() <= stag and (nd == len(r)
                                                or np.abs(upd[nd:]).max()
@@ -876,5 +866,4 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose,
             return ("floor" if rnorm <= floor else None), it, rnorm, state
         m = {b: predict(upd[:nd].reshape(-1, 3))
              for b, predict in predictors.items()}
-        rnorm = r_full
     return None, max_iter, rnorm, state

@@ -30,8 +30,8 @@ from igashell.kinematics import MetricState
 from igashell.materials import KoiterMaterial
 from igashell.reference import FluggeCylinder, navier_plate_center_deflection
 from igashell.solver import Model, displacement_at, solve
-from igashell.verify import material_models, verify_global_tangent, \
-    verify_material
+from igashell.verify import (material_models, tangent_error,
+                            verify_global_tangent, verify_material)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
                         "fixtures_nonlinear.json")
@@ -56,21 +56,7 @@ def _folded_multiplier_tangent_error():
     rng = np.random.default_rng(7)
     x = mesh.node_coords + 0.03 * rng.standard_normal((mesh.n_nodes, 3))
     nq, _ = model.multiplier_layout()
-    q = 0.1 * rng.standard_normal(nq)
-    nd = mesh.n_dofs
-    _, K, _ = model.assemble(x, q, 1.0)
-    K = K.toarray()
-    h = 1e-6
-    J = np.zeros_like(K)
-    for i in range(nd + nq):
-        dz = np.zeros(nd + nq)
-        dz[i] = h
-        rp, _, _ = model.assemble(x + dz[:nd].reshape(-1, 3), q + dz[nd:],
-                                  1.0, tangent=False)
-        rm, _, _ = model.assemble(x - dz[:nd].reshape(-1, 3), q - dz[nd:],
-                                  1.0, tangent=False)
-        J[:, i] = (rp - rm) / (2.0 * h)
-    return np.abs(J - K).max() / np.abs(J).max()
+    return tangent_error(model, x, 0.1 * rng.standard_normal(nq))
 
 
 def test_criterion_01_tangent_consistency():

@@ -338,8 +338,7 @@ def test_multiplier_saddle_system_matches_fd_reversed(interp):
 def edge_flipped_by_hand(eq):
     """An edge's tables with element and Gauss order reversed array by array."""
     out = {name: getattr(eq, name)[::-1, ::-1]
-           for name in ("N", "dN", "d2N", "wq", "X", "ref_normal",
-                        "ref_tangent_vec", "jac0")}
+           for name in ("N", "dN", "d2N", "wq", "X", "ref_normal", "jac0")}
     out.update({name: getattr(eq, name)[::-1]
                 for name in ("conn", "local_ids", "edof")})
     for f in ("a_cov", "b_cov", "a_con", "det_a", "jac", "b_con", "H",

@@ -53,6 +53,11 @@ def test_small_load_response_is_linear():
         mesh, model = cantilever_model(load)
         hist = solve(model, n_steps=1)
         tips.append(displacement_at(mesh, hist[-1].x, 0, 1.0, 0.2)[2])
+        # Newton stops on a round-off update here, and reports the residual
+        # of the iterate it returns
+        h = hist[-1]
+        r, _, _ = model.assemble(h.x, h.q, h.lam, tangent=False)
+        assert h.residual == np.linalg.norm(r[~model._presc_mask])
     assert tips[0] > 0.0
     ratio = tips[1] / tips[0]
     assert abs(ratio - 2.0) < 1e-4, \
@@ -562,7 +567,7 @@ def test_stacked_assembly_many_blocks():
 def assert_free_block(model, K, free):
     """The band array that the plan of (layout, free) scatters from K.data
     is K[free][:, free] in perm order, bit for bit, with zeros elsewhere."""
-    take, perm, kl, ku, pos, rows, cols = \
+    take, perm, kl, ku, pos, (_, cols, rows) = \
         model._current_layout()._free_maps(free)[1]
     n, ld = len(perm), 2 * kl + ku + 1
     band = np.zeros(n * ld)
@@ -573,7 +578,7 @@ def assert_free_block(model, K, free):
     inside = (i - j <= kl) & (j - i <= ku)
     got = np.zeros((n, n))
     got[inside] = band[(kl + ku + i - j)[inside], j[inside]]
-    want = K[free][:, free].toarray()
+    want = K.toarray()[np.ix_(free, free)]
     assert got.tobytes() == want[np.ix_(perm, perm)].tobytes()
     # rows and cols place each taken entry in the free block
     got = np.zeros((n, n))
@@ -731,12 +736,11 @@ def test_band_solve_matches_dense_solve(build):
     model = build()
     _, K, _ = model.assemble(*perturbed_state(model), 0.7)
     free = free_dofs(model)
-    Kff = K[free][:, free]
+    A, eps = K.toarray()[np.ix_(free, free)], np.finfo(float).eps
     if build is follower_cantilever:
-        assert abs(Kff - Kff.T).max() > 1e-6 * abs(Kff).max()
-    b = np.random.default_rng(7).standard_normal(Kff.shape[0])
+        assert np.abs(A - A.T).max() > 1e-6 * np.abs(A).max()
+    b = np.random.default_rng(7).standard_normal(A.shape[0])
     got = solver_mod._factorize(model, K, free).solve(b)
-    A, eps = Kff.toarray(), np.finfo(float).eps
     want = np.linalg.solve(A, b)
     assert (np.linalg.norm(b - A @ got)
             <= 10.0 * eps * np.linalg.norm(A, 1) * np.linalg.norm(got))
@@ -751,7 +755,7 @@ def test_band_solve_matches_dense_solve(build):
 ], ids=["penalty_strip", "multiplier_strip", "follower_load"])
 def test_full_mat_vec_is_the_free_block_mat_vec(build):
     """A state's K @ v is SciPy's CSR mat-vec of K bit for bit, and the
-    LU's product K_ff dz, which Newton's refinement and linear_solve's
+    LU's K_ff @ dz, which Newton's refinement and linear_solve's
     residual use, is the free block's product K[free][:, free] @ dz and
     (K @ upd)[free] with upd zero off the free DOFs: each adds a row's
     terms in the same order."""
@@ -766,7 +770,7 @@ def test_full_mat_vec_is_the_free_block_mat_vec(build):
     dz = rng.standard_normal(np.count_nonzero(free))
     upd = np.zeros(K.shape[0])
     upd[free] = dz
-    got = solver_mod._factorize(model, K, free).product(dz)
+    got = solver_mod._factorize(model, K, free).K_ff @ dz
     assert np.array_equal(got, (K @ upd)[free])
     assert np.array_equal(got, K_sp[free][:, free] @ dz)
     assert np.array_equal(got, K_sp[free][:, free].tocsc() @ dz)
@@ -776,11 +780,17 @@ def band_plan(model):
     return model._current_layout()._free_maps(free_dofs(model))[1]
 
 
+def free_pattern(K, free):
+    """(row, col) of K's stored entries in its free block, zeros included."""
+    stored = np.zeros(K.shape, dtype=bool)
+    stored[K.rows, K.indices] = True
+    return np.nonzero(stored[np.ix_(free, free)])
+
+
 def natural_bandwidth(model):
     _, K, _ = model.assemble(*perturbed_state(model), 1.0)
-    free = free_dofs(model)
-    Kff = K[free][:, free].tocoo()
-    return int(np.abs(Kff.row - Kff.col).max())
+    row, col = free_pattern(K, free_dofs(model))
+    return int(np.abs(row - col).max())
 
 
 def test_band_plan_interleaves_the_multipliers():
@@ -801,10 +811,10 @@ def test_band_plan_interleaves_the_multipliers():
     free = free_dofs(strip)
     nu = np.count_nonzero(free[:strip.mesh.n_dofs])
     _, K, _ = strip.assemble(*perturbed_state(strip), 1.0)
-    coupling = K[free][:, free].tocoo()
-    lm = (coupling.row >= nu) & (coupling.col < nu)
+    row, col = free_pattern(K, free)
+    lm = (row >= nu) & (col < nu)
     anchor = np.full(len(perm), -1)
-    np.maximum.at(anchor, coupling.row[lm], coupling.col[lm])
+    np.maximum.at(anchor, row[lm], col[lm])
     assert len(perm) > nu and (anchor[nu:] >= 0).all()
     assert np.array_equal(perm[perm < nu], np.arange(nu))
     # the last displacement before each position in perm
@@ -830,6 +840,24 @@ def test_solver_and_cli_do_not_load_csgraph():
     out = subprocess.run([sys.executable, "-c", code, src, *names],
                          check=True, capture_output=True, text=True).stdout
     assert out.split() == ["False"] * len(names)
+
+
+def test_assemble_and_verify_do_not_load_scipy_sparse():
+    """K leaves ``assemble`` as the solver's own CSR, so neither an
+    assembled tangent nor the dense FD tangent check loads scipy.sparse."""
+    src = str(Path(solver_mod.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import numpy as np; "
+            "from igashell.benchmarks import build_hemisphere_hole; "
+            "from igashell.verify import verify_global_tangent; "
+            "model = build_hemisphere_hole(2, 2); "
+            "model.assemble(model.mesh.node_coords, np.zeros(0), 1.0, "
+            "tangent=True); "
+            "verify_global_tangent(); "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_missing_lapack_module_raises_import_error(monkeypatch):
@@ -877,6 +905,23 @@ def test_loaded_lapack_is_scipy_lapack(build):
     assert got[0] == got[1]
 
 
+def test_multiplier_validity_range_cuts_the_step(monkeypatch):
+    """A converged step whose multiplier edge turns by pi/4 or more from
+    its rest angle is cut, with a warning, and retried at half the step."""
+    model = build_bending_folded(2, 2, ("lm", "n2q0"))[0]
+    deviation, calls = RotationConstraint.max_angle_deviation, []
+
+    def out_of_range_once(self, x_nodes):
+        calls.append(None)
+        return np.pi / 4.0 if len(calls) == 1 else deviation(self, x_nodes)
+
+    monkeypatch.setattr(RotationConstraint, "max_angle_deviation",
+                        out_of_range_once)
+    with pytest.warns(UserWarning, match="validity range"):
+        hist = solve(model, n_steps=10)
+    assert hist[0].lam == 0.05 and hist[-1].lam == 1.0
+
+
 def test_singular_tangent_raises_and_newton_cuts_the_step(monkeypatch):
     """An exactly singular free tangent raises RuntimeError; Newton cuts
     the load step and the smaller step converges."""
@@ -911,6 +956,27 @@ def test_linear_solve_rejects_a_singular_system():
     model.add_point_force(0, 1.0, 0.2, [0.0, 0.0, 1.0])
     with pytest.raises(NonConvergenceError, match="singular"):
         solver_mod.linear_solve(model)
+
+
+def test_linear_solve_with_a_prescribed_displacement_is_the_dense_solve():
+    """A nonzero prescribed value enters the right-hand side as K z: the
+    solution is the dense solve of the free rows of K (z + dz) = -r(X),
+    within its condition number times the rounding."""
+    mesh, model = coupled_strip(Multiplier("n2q0"))
+    model.fix_edge(1, "u1", components=(2,), value=1e-3)
+    x, q = solver_mod.linear_solve(model)
+    nq, _ = model.multiplier_layout()
+    r, K, _ = model.assemble(mesh.node_coords, np.zeros(nq), 1.0)
+    K, free = K.toarray(), free_dofs(model)
+    z = np.zeros(len(r))
+    z[:mesh.n_dofs][model._presc_mask] = \
+        model._presc_value[model._presc_mask]
+    A, eps = K[np.ix_(free, free)], np.finfo(float).eps
+    z[free] = np.linalg.solve(A, -(r + K @ z)[free])
+    got = np.concatenate([(x - mesh.node_coords).ravel(), q])
+    assert np.array_equal(got[~free], z[~free])
+    assert (np.linalg.norm(got - z)
+            <= 10.0 * eps * np.linalg.cond(A, 1) * np.linalg.norm(z))
 
 
 def test_one_band_plan_per_layout_and_free_set(monkeypatch):
