@@ -12,16 +12,18 @@ cases march the load in increments and report the full path.
 
 import functools
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from .cli_io import ConfigError, _reject_unknown
+from .cli_io import COUNT, DEGREE, SKEW
 from .constraints import Multiplier, Penalty, RotationConstraint
 from .geometry import (Mesh, make_cylinder_panel, make_folded_strip,
                        make_plate, make_sphere_panel, skew_patch)
 from .materials import CanhamMaterial, KoiterMaterial, ProjectedNeoHooke
 from .reference import (FluggeCylinder, PureBending, l2_displacement_error,
                         navier_plate_center_deflection)
+from .schema import check, listof, number, obj, pair, tag, whole
 from .solver import Model, displacement_at, linear_solve, solve
 
 # ---------------------------------------------------------------------------
@@ -78,47 +80,19 @@ def hemisphere_linear_deflection(degree=4, n=16, material="koiter"):
     return float(-dA[0])
 
 
-def _params(defaults, params, where="params"):
-    """defaults updated by params, which may hold only keys of defaults,
-    each with a value like its default (``_like``); a nested object is
-    checked the same way and replaces its default whole.  Raises
-    ConfigError otherwise."""
-    params = params or {}
-    _reject_unknown(params, defaults, where)
-    for key, value in params.items():
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            _params(defaults[key], value, f"{where}.{key}")
-        elif not _like(defaults[key], value):
-            raise ConfigError(f"{where}: '{key}' = {value!r} is unlike its "
-                              f"default {defaults[key]!r}")
-    return {**defaults, **params}
+def _degrees(default):
+    return listof(DEGREE, default, nonempty=True)
 
 
-def _like(default, value):
-    """True when value is of default's kind, where a float takes an integer
-    too, a list a non-empty list of entries each like one of its entries,
-    and a tuple a list like it entry by entry, whose strings are tags that
-    must match.  A number is unlike a positive default unless it is > 0:
-    mesh levels, penalty scales and step counts must be positive."""
-    if isinstance(default, (list, tuple)):
-        return isinstance(value, (list, tuple)) and (
-            len(value) > 0 and all(any(_like(d, v) for d in default)
-                                   for v in value)
-            if isinstance(default, list) else
-            len(value) == len(default) and all(
-                v == d if isinstance(d, str) else _like(d, v)
-                for d, v in zip(default, value)))
-    if isinstance(default, float) and not isinstance(value, bool):
-        kind = isinstance(value, (int, float))
-    else:
-        kind = type(value) is type(default)
-    positive = type(default) in (int, float) and default > 0
-    return kind and (not positive or value > 0)
+def _levels(default):
+    return listof(COUNT, default, nonempty=True)
 
 
 def run_hemisphere_linear(params=None):
-    p = _params(dict(degrees=[2, 3, 4], levels=[4, 8, 16],
-                     material="koiter"), params)
+    p = check(obj({"degrees": _degrees([2, 3, 4]),
+                   "levels": _levels([4, 8, 16]),
+                   "material": tag("material", ("koiter", "projected"),
+                                   "koiter")}), params or {}, "params")
     rows = []
     for deg in p["degrees"]:
         for n in p["levels"]:
@@ -177,7 +151,8 @@ def plate_center_deflection(degree=4, n=16):
 
 
 def run_plate_sinusoidal(params=None):
-    p = _params(dict(degrees=[2, 3, 4], levels=[4, 8, 16]), params)
+    p = check(obj({"degrees": _degrees([2, 3, 4]),
+                   "levels": _levels([4, 8, 16])}), params or {}, "params")
     ref = navier_plate_center_deflection(PLATE["p0"], PLATE["L"], PLATE["E"],
                                          PLATE["nu"], PLATE["T"])
     rows = []
@@ -239,7 +214,8 @@ def cylinder_linear_deflection(degree=4, n=32):
 
 
 def run_cylinder_linear(params=None):
-    p = _params(dict(degrees=[4], levels=[8, 16, 32]), params)
+    p = check(obj({"degrees": _degrees([4]), "levels": _levels([8, 16, 32])}),
+              params or {}, "params")
     ref = flugge_reference()
     rows = []
     for deg in p["degrees"]:
@@ -320,8 +296,10 @@ def bending_flat_l2(n=8, scheme="single", M=1.0, n_steps=8):
 
 
 def run_bending_flat(params=None):
-    p = _params(dict(levels=[2, 4, 8, 16], schemes=[
-        "single", "single_skew", "double", "double_skew"]), params)
+    schemes = ["single", "single_skew", "double", "double_skew"]
+    p = check(obj({"levels": _levels([2, 4, 8, 16]),
+                   "schemes": listof(tag("scheme", schemes), schemes,
+                                     nonempty=True)}), params or {}, "params")
     rows = []
     for scheme in p["schemes"]:
         for n in p["levels"]:
@@ -410,10 +388,13 @@ def bending_folded_solve(n_per_patch=2, n_width=2, method=("penalty", 1e4),
 
 
 def run_bending_folded(params=None):
-    p = _params(dict(levels=[1, 2, 4], n_width=2,
-                     methods=[("penalty", 1e2), ("penalty", 1e3),
-                              ("penalty", 1e4), ("lm", "n2q0"),
-                              ("lm", "n2q1c")]), params)
+    method = pair("method", {"penalty": number(gt=0.0),
+                             "lm": tag("interpolation", ("n2q0", "n2q1c"))})
+    p = check(obj({"levels": _levels([1, 2, 4]), "n_width": whole(2, ge=1),
+                   "methods": listof(method, [
+                       ["penalty", 1e2], ["penalty", 1e3], ["penalty", 1e4],
+                       ["lm", "n2q0"], ["lm", "n2q1c"]], nonempty=True)}),
+              params or {}, "params")
     rows = []
     for method in [tuple(m) for m in p["methods"]]:
         for n in p["levels"]:
@@ -442,10 +423,8 @@ CANT = dict(L=10.0, W=1.0, T=0.1, E=1.2e6, nu=0.0)
 def build_cantilever(skew=0.0, degree=3, n=10):
     """End-loaded cantilever plate, clamped by the penalty method."""
     E = CANT["E"]
-    patch = make_plate(CANT["L"], CANT["W"], degree, n, 1)
-    if skew:
-        patch = skew_patch(patch, skew)
-    mesh = Mesh([patch])
+    mesh = Mesh([skew_patch(make_plate(CANT["L"], CANT["W"], degree, n, 1),
+                            skew)])
     model = Model(mesh, KoiterMaterial.from_youngs(E, CANT["nu"], CANT["T"]))
     model.fix_edge(0, "u0")
     model.add_constraint(RotationConstraint.fixed(mesh, 0, "u0"),
@@ -468,7 +447,10 @@ def cantilever_curve(skew=0.0, degree=3, n=10, n_steps=8):
 
 
 def run_cantilever(params=None):
-    p = _params(dict(skews=[0.0, 0.2], degree=3, n=10, n_steps=8), params)
+    p = check(obj({"skews": listof(SKEW, [0.0, 0.2], nonempty=True),
+                   "degree": replace(DEGREE, default=3),
+                   "n": whole(10, ge=1), "n_steps": whole(8, ge=1)}),
+              params or {}, "params")
     rows = []
     for skew in p["skews"]:
         t0 = time.perf_counter()
@@ -607,9 +589,14 @@ def cylinder_free_path(degree=2, n=20, n_steps=16):
 
 
 def run_nonlinear_checkpoints(params=None):
-    p = _params(dict(hole=dict(degree=2, n=16, n_steps=16),
-                     pinch=dict(degree=2, n=16, n_steps=18, w_max=90.0),
-                     free=dict(degree=2, n=16, n_steps=16)), params)
+    def path(n_steps, **more):
+        return obj({"degree": replace(DEGREE, default=2),
+                    "n": whole(16, ge=1), "n_steps": whole(n_steps, ge=1),
+                    **more}, {})
+
+    p = check(obj({"hole": path(16),
+                   "pinch": path(18, w_max=number(90.0, gt=0.0)),
+                   "free": path(16)}), params or {}, "params")
     rows = []
     t0 = time.perf_counter()
     hole = hemisphere_hole_path(**p["hole"])
@@ -647,6 +634,10 @@ CASES = {
     "cantilever_end_shear": run_cantilever,
     "nonlinear_checkpoints": run_nonlinear_checkpoints,
 }
+
+
+BENCH_CONFIG = obj({"case": tag("benchmark case", tuple(CASES)),
+                    "params": obj(None, {})})
 
 
 def run_case(case_id: str, params=None):

@@ -10,7 +10,6 @@ BLAS thread pools before numpy loads.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -30,15 +29,16 @@ def _fmt(v):
 
 
 def _cmd_run(args):
-    from .cli_io import (ConfigError, RunConfig, build_field_output,
-                         build_model, write_csv, write_field_csv, write_vtk)
+    from .cli_io import (RunConfig, build_field_output, build_model,
+                         write_csv, write_field_csv, write_vtk)
+    from .schema import InputError
     from .solver import (NonConvergenceError, displacement_at, linear_solve,
                          solve)
     try:
         cfg = RunConfig.load(args.config)
         base = os.path.dirname(os.path.abspath(args.config))
         model, mesh = build_model(cfg, base_dir=base)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     s = cfg.solver
@@ -94,40 +94,32 @@ def _cmd_run(args):
 
 
 def _cmd_bench(args):
-    from .benchmarks import CASES, run_case
-    from .cli_io import ConfigError, write_csv
+    from .benchmarks import BENCH_CONFIG, CASES, run_case
+    from .cli_io import write_csv
+    from .schema import InputError, check, read_json
+    from .solver import NonConvergenceError
     case = args.case_pos or args.case
-    params = None
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(doc, dict) or "case" not in doc:
-            print("config error: benchmark config needs a 'case' key",
-                  file=sys.stderr)
-            return 2
-        case = doc["case"]
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            print("config error: benchmark 'params' must be an object",
-                  file=sys.stderr)
-            return 2
-    if case is not None and case not in CASES:
-        print(f"config error: unknown benchmark case '{case}'"
-              f" (available: {', '.join(sorted(CASES))})", file=sys.stderr)
+    doc = None
+    try:
+        if args.config is not None:
+            doc = check(BENCH_CONFIG, read_json(args.config))
+        elif case is not None:
+            doc = check(BENCH_CONFIG, {"case": case})
+    except InputError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
-    selected = [case] if case is not None else sorted(CASES)
+    selected = [doc["case"]] if doc is not None else sorted(CASES)
     os.makedirs(args.out, exist_ok=True)
     for cid in selected:
         print(f"[{cid}]")
         try:
-            rows, summary = run_case(cid, params)
-        except ConfigError as exc:
+            rows, summary = run_case(cid, doc and doc["params"])
+        except InputError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
+        except NonConvergenceError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 3
         header = list(rows[0].keys())
         write_csv(os.path.join(args.out, f"{cid}.csv"), header,
                   [[_fmt(r[k]) for k in header] for r in rows])

@@ -25,14 +25,16 @@ from .nurbs import (
     open_knot_vector,
     scalar_square,
 )
+from .schema import (InputError, check, flag, listof, number, obj, read_json,
+                     tag, whole)
 
 SIDES = ("u0", "u1", "v0", "v1")
+MAX_DEGREE = 5
 # control points closer than this times the bounding-box diagonal merge
 MERGE_TOL_REL = 1e-9
 
 
-class MeshFormatError(ValueError):
-    """Raised for malformed mesh or config input."""
+MeshFormatError = InputError     # the name importers know
 
 
 @dataclass
@@ -56,15 +58,26 @@ class Patch:
         self.knots_v = np.asarray(self.knots_v, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if not (1 <= self.degree_u <= 5 and 1 <= self.degree_v <= 5):
-            raise MeshFormatError("patch degrees must lie in 1..5")
+        if not (1 <= self.degree_u <= MAX_DEGREE
+                and 1 <= self.degree_v <= MAX_DEGREE):
+            raise InputError(f"patch degrees must lie in 1..{MAX_DEGREE}")
+        for name, k, p in (("knots_u", self.knots_u, self.degree_u),
+                           ("knots_v", self.knots_v, self.degree_v)):
+            # open: the end knots repeat p + 1 times, so the edge control
+            # points are the edge curve (Bezier extraction relies on it)
+            if not (k.ndim == 1 and len(k) >= 2 * p + 2
+                    and np.isfinite(k).all() and (k[1:] >= k[:-1]).all()
+                    and k[0] == k[p] < k[-p - 1] == k[-1]):
+                raise InputError(f"{name} must be an open, nondecreasing "
+                                 f"vector of at least {2 * p + 2} finite "
+                                 "knots")
         if self.points.shape != (self.n_u * self.n_v, 3):
-            raise MeshFormatError(
+            raise InputError(
                 f"expected {self.n_u * self.n_v} control points, got {self.points.shape[0]}")
         if self.weights.shape != (self.n_u * self.n_v,):
-            raise MeshFormatError("weights array does not match control net")
-        if np.any(self.weights <= 0.0):
-            raise MeshFormatError("control-point weights must be positive")
+            raise InputError("weights array does not match control net")
+        if not (self.weights > 0.0).all():
+            raise InputError("control-point weights must be positive")
 
     # -- basic queries ---------------------------------------------------
 
@@ -105,10 +118,6 @@ class Patch:
         """((u0, u1), (v0, v1)) spanned by the knot vectors."""
         return ((self.knots_u[0], self.knots_u[-1]),
                 (self.knots_v[0], self.knots_v[-1]))
-
-    def copy(self) -> "Patch":
-        return Patch(self.degree_u, self.degree_v, self.knots_u.copy(),
-                     self.knots_v.copy(), self.points.copy(), self.weights.copy())
 
     def transformed(self, rot: np.ndarray | None = None,
                     shift: np.ndarray | None = None) -> "Patch":
@@ -178,7 +187,7 @@ class Patch:
             return np.arange(n_u)
         if side == "v1":
             return (n_v - 1) * n_u + np.arange(n_u)
-        raise MeshFormatError(f"unknown side {side!r}")
+        raise InputError(f"unknown side {side!r}")
 
 
 def surface_derivatives(N, dN, d2N, P):
@@ -353,41 +362,28 @@ class Mesh:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Mesh":
-        if not isinstance(data, dict) or not isinstance(data.get("patches"),
-                                                        list):
-            raise MeshFormatError("mesh JSON must contain a 'patches' list")
+        doc = check(MESH_DOCUMENT, data)
         patches = []
-        for k, pd in enumerate(data["patches"]):
-            where = f"patch {k}"
-            if not isinstance(pd, dict):
-                raise MeshFormatError(f"{where}: must be an object")
+        for k, pd in enumerate(doc["patches"]):
+            pts = np.array(pd["points"])
             try:
-                pts = np.asarray(pd["points"], dtype=float)
-                if pts.ndim != 2 or pts.shape[1] != 4:
-                    raise MeshFormatError(
-                        f"{where}: points must be [[x, y, z, w], ...]")
-                patch = Patch(_whole(pd, "degree_u", where),
-                              _whole(pd, "degree_v", where),
-                              np.asarray(pd["knots_u"], dtype=float),
-                              np.asarray(pd["knots_v"], dtype=float),
-                              pts[:, :3], pts[:, 3])
-                if (patch.n_u != _whole(pd, "n_u", where)
-                        or patch.n_v != _whole(pd, "n_v", where)):
-                    raise MeshFormatError(
-                        f"{where}: n_u/n_v inconsistent with knot vectors")
-            except KeyError as exc:
-                raise MeshFormatError(f"{where}: missing field {exc}") from exc
+                patch = Patch(pd["degree_u"], pd["degree_v"], pd["knots_u"],
+                              pd["knots_v"], pts[:, :3], pts[:, 3])
+            except InputError as exc:
+                raise InputError(f"patch {k}: {exc}") from None
+            if (patch.n_u, patch.n_v) != (pd["n_u"], pd["n_v"]):
+                raise InputError(
+                    f"patch {k}: n_u/n_v inconsistent with knot vectors")
             patches.append(patch)
-        interfaces = data.get("interfaces")
+        interfaces = doc["interfaces"]
+        for k, iface in enumerate(interfaces or ()):
+            for patch in (iface["patch_a"], iface["patch_b"]):
+                if not 0 <= patch < len(patches):
+                    raise InputError(f"interface {k}: patch {patch} does not "
+                                     f"exist (mesh has {len(patches)})")
         if interfaces is not None:
-            if not isinstance(interfaces, list):
-                raise MeshFormatError("mesh JSON 'interfaces' must be a list")
-            interfaces = [_read_interface(d, f"interface {k}", len(patches))
-                          for k, d in enumerate(interfaces)]
-        sets = data.get("sets")
-        if sets is not None and not isinstance(sets, dict):
-            raise MeshFormatError("mesh JSON 'sets' must be an object")
-        return cls(patches, sets=sets, interfaces=interfaces)
+            interfaces = [Interface(**iface) for iface in interfaces]
+        return cls(patches, sets=doc["sets"], interfaces=interfaces)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -395,46 +391,23 @@ class Mesh:
 
     @classmethod
     def load(cls, path) -> "Mesh":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MeshFormatError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path))
 
 
-def _whole(d, name, where) -> int:
-    """Field ``name`` of the mesh document object d: a number with a whole
-    value, not a string, a boolean or null."""
-    v = d[name]
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or not float(v).is_integer()):
-        raise MeshFormatError(f"{where}: {name} must be a whole number, "
-                              f"not {v!r}")
-    return int(v)
-
-
-def _read_interface(d, where, n_patches) -> Interface:
-    """One interface of a mesh document, its patches and sides checked."""
-    if not isinstance(d, dict):
-        raise MeshFormatError(f"{where}: must be an object")
-    try:
-        iface = Interface(_whole(d, "patch_a", where), str(d["side_a"]),
-                          _whole(d, "patch_b", where), str(d["side_b"]),
-                          d.get("reversed", False))
-    except KeyError as exc:
-        raise MeshFormatError(f"{where}: missing field {exc}") from exc
-    if not isinstance(iface.reversed, bool):
-        raise MeshFormatError(f"{where}: reversed must be true or false, "
-                              f"not {iface.reversed!r}")
-    for patch, side in ((iface.patch_a, iface.side_a),
-                        (iface.patch_b, iface.side_b)):
-        if not 0 <= patch < n_patches:
-            raise MeshFormatError(f"{where}: patch {patch} does not exist "
-                                  f"(mesh has {n_patches})")
-        if side not in SIDES:
-            raise MeshFormatError(f"{where}: unknown side {side!r}")
-    return iface
+# The mesh document, the format of Mesh.to_json_dict: its fields are the
+# Patch and Interface attributes, and points rows are [x, y, z, w].
+_PATCH = obj({"degree_u": whole(), "degree_v": whole(),
+              "knots_u": listof(number()), "knots_v": listof(number()),
+              "n_u": whole(), "n_v": whole(),
+              "points": listof(listof(number(), size=4), nonempty=True)},
+             member="field")
+_INTERFACE = obj({"patch_a": whole(), "side_a": tag("side", SIDES),
+                  "patch_b": whole(), "side_b": tag("side", SIDES),
+                  "reversed": flag(False)}, member="field")
+MESH_DOCUMENT = obj({
+    "patches": listof(_PATCH, nonempty=True, label="patch"),
+    "interfaces": listof(_INTERFACE, None, label="interface"),
+    "sets": obj(None, None)})
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +567,8 @@ def skew_patch(patch: Patch, r: float, axis: int = 0) -> Patch:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("distortion ratio must lie in [0, 1)")
+    if r == 0.0:
+        return patch
     if not np.allclose(patch.weights, 1.0):
         raise ValueError("skew construction expects a polynomial (flat) patch")
     ku, kv = patch.knots_u, patch.knots_v
@@ -601,8 +576,6 @@ def skew_patch(patch: Patch, r: float, axis: int = 0) -> Patch:
     e_len = (x10 if axis == 0 else x01) - x00
     S = float(np.linalg.norm(e_len))
     e_len = e_len / S
-    if r == 0.0:
-        return patch.copy()
 
     def shift(su, sv):
         # su: normalized coordinate along the distorted axis, sv across;

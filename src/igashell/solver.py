@@ -845,8 +845,11 @@ def _newton(model, x, q, lam, free, tol_rel, max_iter, verbose,
             r_full = float(np.linalg.norm(r[free]))
         except ValueError:
             r_full = np.inf
-        if r_full > (1.0 - 1e-4) * rnorm:  # the full step does not descend
-            if excur < 6 and r_full <= 1e8 * max(best, ref):
+        # inf (a failed evaluation: state is still the iterate's, its
+        # tangent formed) and NaN end the attempt; neither compares as > x
+        finite = np.isfinite(r_full)
+        if not finite or r_full > (1.0 - 1e-4) * rnorm:
+            if finite and excur < 6 and r_full <= 1e8 * max(best, ref):
                 # tentative full step through a residual hump
                 if saved is None:
                     saved = (x.copy(), q.copy(), rnorm)

@@ -256,3 +256,88 @@ def test_info_lists_cases(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out
     assert "pinched_cylinder_linear" in out and "igashell" in out
+
+
+# -- input sweep: every bad value is a config error, never a traceback -----
+
+SWEEP_VALUES = [None, "x", True, -1, 0, 1e300, float("nan"), [], {}, [1, 2]]
+BENCH_PARAMS = {
+    "pinched_hemisphere_linear": {"degrees": [2], "levels": [2],
+                                  "material": "koiter"},
+    "plate_sinusoidal": {"degrees": [2], "levels": [2]},
+    "pinched_cylinder_linear": {"degrees": [2], "levels": [2]},
+    "pure_bending_flat": {"levels": [2], "schemes": ["single"]},
+    "pure_bending_folded": {"levels": [1], "n_width": 1,
+                            "methods": [["penalty", 1e4]]},
+    "cantilever_end_shear": {"skews": [0.2], "degree": 2, "n": 2,
+                             "n_steps": 1},
+    "nonlinear_checkpoints": {
+        "hole": {"degree": 2, "n": 2, "n_steps": 1},
+        "pinch": {"degree": 2, "n": 2, "n_steps": 1, "w_max": 1.0},
+        "free": {"degree": 2, "n": 2, "n_steps": 1}},
+}
+
+
+def _targets(doc, path=()):
+    """Key paths of every leaf and every list in doc, entries included.  A
+    nonempty object is reached through its members only: replacing a bench
+    case's nested params by {} would run its full default path."""
+    for k, v in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(v, list) or not (isinstance(v, dict) and v):
+            yield path + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _targets(v, path + (k,))
+
+
+def _sweep(tmp_path, capsys, doc, name, argv):
+    """Run argv + ["--out", <a new directory>] once for each target of doc
+    set to each sweep value, doc written to tmp_path / name; returns the
+    runs that did not end as required.  Every run writes new files only:
+    truncating a file costs tens of milliseconds on some filesystems."""
+    bad = []
+    for n, (path, value) in enumerate((p, v) for p in _targets(doc)
+                                      for v in SWEEP_VALUES):
+        mutated = json.loads(json.dumps(doc))
+        node = mutated
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        (tmp_path / name).unlink(missing_ok=True)
+        (tmp_path / name).write_text(json.dumps(mutated))
+        try:
+            rc = main(argv + ["--out", str(tmp_path / f"out{n}")])
+        except Exception as exc:        # an escape is the failure sought
+            rc = repr(exc)
+        err = capsys.readouterr().err
+        nan = isinstance(value, float) and value != value
+        if rc not in (0, 2, 3) or nan and not (
+                rc == 2 and "config error:" in err):
+            bad.append((path, value, rc))
+    return bad
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at 1e300
+@pytest.mark.parametrize("document", ["run_config", "mesh_file", "bench"])
+def test_input_sweep_exits_0_2_or_3(tmp_path, capsys, document):
+    """Each leaf and list of a run config, of a one-patch plate mesh file
+    (each knot and point coordinate included) and of one small bench
+    config per case is set to each sweep value.  Every run exits 0, 2 or 3
+    and raises nothing, and a NaN is a config error."""
+    if document == "run_config":
+        bad = _sweep(tmp_path, capsys, TINY_RUN, "cfg.json",
+                     ["run", "--config", str(tmp_path / "cfg.json")])
+    elif document == "mesh_file":
+        doc = dict(TINY_RUN, mesh={"type": "file", "path": "mesh.json"},
+                   outputs={})
+        blob = Mesh([make_plate(1.0, 1.0, 2, 1, 1)]).to_json_dict()
+        bad = _sweep(tmp_path, capsys, blob, "mesh.json",
+                     ["run", "--config", _write(tmp_path, doc)])
+    else:
+        bad = []
+        for case, params in BENCH_PARAMS.items():
+            (tmp_path / case).mkdir()
+            bad += _sweep(tmp_path / case, capsys,
+                          {"case": case, "params": params}, "bench.json",
+                          ["bench", "--config",
+                           str(tmp_path / case / "bench.json")])
+    assert bad == []

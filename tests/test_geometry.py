@@ -190,6 +190,13 @@ MALFORMED = [
      "interface 0: unknown side 'w1'"),
     (lambda b: b.update(interfaces=["u0"]), "interface 0: must be an object"),
     (lambda b: b.update(interfaces={"0": ONE_INTERFACE}), "must be a list"),
+    (lambda b: b["patches"][0].update(knots_u=5.0), "patch 0: knots_u"),
+    (lambda b: b["patches"][0]["knots_v"].__setitem__(3, 2.0),
+     "patch 0: knots_v must be an open, nondecreasing"),
+    (lambda b: b["patches"][0]["knots_u"].__setitem__(3, float("nan")),
+     "patch 0: knots_u"),
+    (lambda b: b["patches"][0]["knots_u"].__setitem__(0, -1.0),
+     "patch 0: knots_u must be an open"),
 ]
 
 
@@ -262,10 +269,20 @@ def test_node_merge_matches_pairwise_merge():
 
 
 def test_patch_validation():
-    with pytest.raises(ValueError):
-        Patch(0, 1, [0, 0, 1, 1], [0, 0, 1, 1],
-              np.zeros((4, 3)), np.ones(4))
-    with pytest.raises(ValueError):
-        make_plate(1.0, 1.0, 2, 2, 2, origin=(0, 0, 0)).__class__(
-            2, 2, [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1],
-            np.zeros((9, 3)), -np.ones(9))
+    open2 = [0, 0, 0, 1, 1, 1]
+    for args, says in [
+        ((0, 1, [0, 0, 1, 1], [0, 0, 1, 1], np.zeros((4, 3)), np.ones(4)),
+         "degrees"),
+        ((2, 2, open2, open2, np.zeros((9, 3)), -np.ones(9)), "weights"),
+        ((2, 2, 0.5, open2, np.zeros((9, 3)), np.ones(9)), "knots_u"),
+        ((2, 2, open2, [0, 0, 0, 1, 0.5, 1, 1], np.zeros((12, 3)),
+          np.ones(12)), "knots_v"),
+        ((2, 2, [0, 0, 1, 1], open2, np.zeros((3, 3)), np.ones(3)),
+         "at least 6"),
+        ((2, 2, [0, 0, 0, np.inf, np.inf, np.inf], open2, np.zeros((9, 3)),
+          np.ones(9)), "finite"),
+        ((2, 2, [0, 0, 0, 1, 1, 2], open2, np.zeros((9, 3)), np.ones(9)),
+         "open"),
+    ]:
+        with pytest.raises(MeshFormatError, match=says):
+            Patch(*args)
